@@ -12,19 +12,17 @@ from .errors import (PotsimError, ParameterError, ConfigError,
                      MissingArtifactError)
 from .waveform import (GAUSSIAN, RRC, IOTA, FILTER_FAMILIES, LatticeConfig,
                        PrototypeFilter, make_gaussian, make_rrc, make_iota,
-                       filter_factory, ambiguity, AmbiguityTable,
-                       build_ambiguity_table, CrossAmbiguity)
+                       filter_factory, ambiguity, CrossAmbiguity)
 from .channel import (ChannelModel, ChannelRealization, free_space_path_loss,
                       realize_channel, effective_gain)
 from .network import (Link, NetworkScenario, generate_scenario, sample_point_near,
                       update_aggressor_count, entry_sequence, FoAssignment,
                       FixedAssignmentPolicy, COUNT_THRESHOLD_DB)
 from .interference import (InterferenceProfile, decompose, sinr, sinr_linear,
-                           capacity, sum_capacity, multiuser_efficiency,
-                           outage, victim_energy_tables, ScenarioEnergies,
+                           capacity, multiuser_efficiency, outage,
+                           victim_energy_tables, ScenarioEnergies,
                            EnsembleEvaluator)
-from .qlearning import (Hyperparams, QTable, q_update, reward, train,
-                        greedy_policy)
+from .qlearning import Hyperparams, QTable, q_update, reward, train
 from .experiments import (ExperimentConfig, run, export_ambiguity_surface,
                           generate_drop)
 
@@ -35,8 +33,7 @@ __all__ = [
     "PolicyUnavailableError", "MissingArtifactError",
     "GAUSSIAN", "RRC", "IOTA", "FILTER_FAMILIES", "LatticeConfig",
     "PrototypeFilter", "make_gaussian", "make_rrc", "make_iota",
-    "filter_factory", "ambiguity", "AmbiguityTable", "build_ambiguity_table",
-    "CrossAmbiguity",
+    "filter_factory", "ambiguity", "CrossAmbiguity",
     "ChannelModel", "ChannelRealization", "free_space_path_loss",
     "realize_channel", "effective_gain",
     "Link", "NetworkScenario", "generate_scenario", "sample_point_near",
@@ -44,9 +41,9 @@ __all__ = [
     "entry_sequence", "FoAssignment", "FixedAssignmentPolicy",
     "COUNT_THRESHOLD_DB",
     "InterferenceProfile", "decompose", "sinr", "sinr_linear", "capacity",
-    "sum_capacity", "multiuser_efficiency", "outage", "victim_energy_tables",
+    "multiuser_efficiency", "outage", "victim_energy_tables",
     "ScenarioEnergies", "EnsembleEvaluator",
-    "Hyperparams", "QTable", "q_update", "reward", "train", "greedy_policy",
+    "Hyperparams", "QTable", "q_update", "reward", "train",
     "ExperimentConfig", "run", "export_ambiguity_surface", "generate_drop",
     "__version__",
 ]

@@ -33,7 +33,6 @@ class ChannelModel:
     kind: str
     carrier_freq: float
     taps: tuple
-    noise_psd: float = 0.0
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
@@ -47,16 +46,16 @@ class ChannelModel:
             raise ConfigError("an AWGN channel has exactly one tap")
 
     @classmethod
-    def awgn(cls, carrier_freq: float, noise_psd: float = 0.0) -> "ChannelModel":
-        return cls(AWGN, carrier_freq, ((0.0, 1.0),), noise_psd)
+    def awgn(cls, carrier_freq: float) -> "ChannelModel":
+        return cls(AWGN, carrier_freq, ((0.0, 1.0),))
 
     @classmethod
-    def epa(cls, carrier_freq: float, noise_psd: float = 0.0) -> "ChannelModel":
+    def epa(cls, carrier_freq: float) -> "ChannelModel":
         powers = 10.0 ** (np.array(EPA_TAP_POWERS_DB) / 10.0)
         powers = powers / powers.sum()
         taps = tuple((delay * 1e-9, float(power))
                      for delay, power in zip(EPA_TAP_DELAYS_NS, powers))
-        return cls(EPA, carrier_freq, taps, noise_psd)
+        return cls(EPA, carrier_freq, taps)
 
     @classmethod
     def of_kind(cls, kind: str, carrier_freq: float) -> "ChannelModel":
@@ -75,7 +74,6 @@ class ChannelRealization:
     path_gain: float
     tap_delays: np.ndarray
     tap_gains: np.ndarray
-    seed_trace: str = ""
 
     def __post_init__(self):
         if self.path_gain < 0:
@@ -109,7 +107,6 @@ def realize_channel(model: ChannelModel, distance: float, rng,
     the profile power, i.e. Rayleigh magnitudes.
     """
     generator = _as_generator(rng)
-    seed_trace = repr(rng) if not isinstance(rng, np.random.Generator) else "generator"
     path_gain = free_space_path_loss(distance, model.carrier_freq)
     delays = np.array([delay for delay, _ in model.taps])
     powers = np.array([power for _, power in model.taps])
@@ -121,8 +118,7 @@ def realize_channel(model: ChannelModel, distance: float, rng,
     delays.setflags(write=False)
     gains.setflags(write=False)
     return ChannelRealization(link_id=tuple(link_id), path_gain=float(path_gain),
-                              tap_delays=delays, tap_gains=gains,
-                              seed_trace=str(seed_trace))
+                              tap_delays=delays, tap_gains=gains)
 
 
 def effective_gain(realization: ChannelRealization, ambiguity_fn,

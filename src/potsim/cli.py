@@ -13,10 +13,8 @@ from pathlib import Path
 from .errors import (ConfigError, MissingArtifactError, ParameterError,
                      PolicyUnavailableError)
 from .experiments import (ExperimentConfig, export_ambiguity_surface, run,
-                          scenario_family, write_surface_csv,
-                          _train_hyperparams)
-from .qlearning import train
-from .waveform import CrossAmbiguity, FILTER_FAMILIES, filter_factory
+                          train_policy, write_surface_csv)
+from .waveform import FILTER_FAMILIES, filter_factory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,13 +96,7 @@ def _cmd_train(args) -> int:
         config = replace(config, seed=args.seed)
     if args.s_max < 1:
         raise ConfigError("--s-max must be at least 1")
-    pulse = filter_factory(config.filters[0], config.filter_param,
-                           sample_rate=config.sample_rate,
-                           density=config.lattice_density)
-    cross_amb = CrossAmbiguity(pulse, pulse, config.lattice,
-                               fo_quantum=config.fo_quantum)
-    table = train(scenario_family(config, cross_amb), args.s_max,
-                  _train_hyperparams(config), rng_seed=config.seed)
+    table = train_policy(config, args.s_max)
     out = Path(args.out)
     if out.suffix != ".npz":
         out = out.with_name(out.name + ".npz")

@@ -19,7 +19,8 @@ import numpy as np
 from .channel import ChannelModel, realize_channel
 from .errors import ConfigError, MissingArtifactError, ParameterError
 from .interference import (InterferenceProfile, ScenarioEnergies, capacity,
-                           multiuser_efficiency, outage, victim_energy_tables)
+                           multiuser_efficiency, outage, profile_at,
+                           victim_energy_tables)
 from .network import (Link, NetworkScenario, entry_sequence, sample_point_near)
 from .qlearning import Hyperparams, QTable, train
 from .waveform import (CrossAmbiguity, FILTER_FAMILIES, LatticeConfig,
@@ -250,10 +251,11 @@ def scenario_family(config: ExperimentConfig, cross_amb: CrossAmbiguity):
     return build
 
 
-def _pot_assignment(scenario: NetworkScenario, policy) -> dict:
-    """FO index per link id after replaying the entry protocol."""
+def _pot_qdiffs(scenario: NetworkScenario, policy) -> list:
+    """Aggressor FO indices minus the victim's after the entry protocol."""
     entry_sequence(scenario, policy)
-    return {link.link_id: link.fo_index for link in scenario.links}
+    victim_q = scenario.links[0].fo_index
+    return [link.fo_index - victim_q for link in scenario.links[1:]]
 
 
 def _metric_value(metric: str, profile: InterferenceProfile,
@@ -283,11 +285,23 @@ def _policy_path(config: ExperimentConfig, out_dir: Path) -> Path:
     return path
 
 
-def _train_hyperparams(config: ExperimentConfig) -> Hyperparams:
+def train_policy(config: ExperimentConfig, s_max: int) -> QTable:
+    """Train FO tables for counts 1..s_max on drops of ``config``.
+
+    Drops are scored with the first configured filter, under
+    ``config.train_overrides`` and the config seed.
+    """
     try:
-        return Hyperparams(**config.train_overrides)
+        hyperparams = Hyperparams(**config.train_overrides)
     except TypeError as exc:
         raise ConfigError(f"invalid train_overrides: {exc}") from exc
+    tx = filter_factory(config.filters[0], config.filter_param,
+                        sample_rate=config.sample_rate,
+                        density=config.lattice_density)
+    cross_amb = CrossAmbiguity(tx, tx, config.lattice,
+                               fo_quantum=config.fo_quantum)
+    return train(scenario_family(config, cross_amb), s_max, hyperparams,
+                 rng_seed=config.seed)
 
 
 def required_s_max(config: ExperimentConfig) -> int:
@@ -310,13 +324,7 @@ def load_or_train_policy(config: ExperimentConfig, out_dir: Path):
         return table, path, False
     if not config.train_if_missing:
         raise MissingArtifactError(f"no Q-table artifact at {path}")
-    tx = filter_factory(config.filters[0], config.filter_param,
-                        sample_rate=config.sample_rate,
-                        density=config.lattice_density)
-    cross_amb = CrossAmbiguity(tx, tx, config.lattice,
-                               fo_quantum=config.fo_quantum)
-    table = train(scenario_family(config, cross_amb), required_s_max(config),
-                  _train_hyperparams(config), rng_seed=config.seed)
+    table = train_policy(config, required_s_max(config))
     path.parent.mkdir(parents=True, exist_ok=True)
     table.save(path)
     return table, path, True
@@ -350,25 +358,17 @@ def _sweep(config: ExperimentConfig, policy) -> list:
             scenario = generate_drop(config, num_aggressors, geometry_rng)
             channel_rng = np.random.default_rng([config.seed, g_idx, drop, 1])
             realizations = realize_victim_channels(scenario, model, channel_rng)
-            assignments = {FULL_OVERLAP: {link.link_id: 0
-                                          for link in scenario.links}}
-            if POT in config.modes:
-                assignments[POT] = _pot_assignment(scenario, policy)
             victim, aggressors = scenario.links[0], scenario.links[1:]
+            qdiffs = {FULL_OVERLAP: [0] * len(aggressors)}
+            if POT in config.modes:
+                qdiffs[POT] = _pot_qdiffs(scenario, policy)
             for family in config.filters:
                 e_signal, e_self, profiles = victim_energy_tables(
                     victim, aggressors, realizations, evaluators[family])
                 noise_var = 0.0 if math.isinf(snr_lin) else e_signal / snr_lin
                 for mode in config.modes:
-                    fo = assignments[mode]
-                    per_aggressor = {
-                        link.link_id: float(profiles[link.link_id][
-                            fo[link.link_id] - fo[victim.link_id]
-                            + config.fo_quantum - 1])
-                        for link in aggressors}
-                    profile = InterferenceProfile(
-                        e_signal=e_signal, e_self=e_self, noise_var=noise_var,
-                        per_aggressor=per_aggressor)
+                    profile = profile_at(e_signal, e_self, profiles, aggressors,
+                                         qdiffs[mode], noise_var)
                     value = _metric_value(metric, profile,
                                           config.outage_threshold_db)
                     samples.setdefault((grid_value, family, mode),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .waveform import CrossAmbiguity, LatticeConfig
+from .waveform import CrossAmbiguity
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ def _own_energies(cross_amb: CrossAmbiguity, realization) -> tuple:
     return e_signal, float(max(power.sum() - e_signal, 0.0))
 
 
-def decompose(victim, aggressors, realizations, cross_amb: CrossAmbiguity,
-              noise_var: float) -> InterferenceProfile:
-    """Split the victim's received energy into signal, self, and cross terms.
+def victim_energy_tables(victim, aggressors, realizations,
+                         cross_amb: CrossAmbiguity):
+    """Signal and self energies plus per-aggressor CCI profiles for one victim.
 
     realizations maps (transmitter_link_id, receiver_link_id) to a
     ChannelRealization; the victim's own channel sits under (victim, victim).
@@ -71,54 +71,60 @@ def decompose(victim, aggressors, realizations, cross_amb: CrossAmbiguity,
     n0 = N // 2: E_S is the zero-delay term of its own block at subcarrier
     offset 0, and E_SI sums the other (delta_l, delta_n) terms with
     delta_l in (-K, K) and delta_n in [-n0, N - 1 - n0]. Aggressor terms are
-    evaluated at the pairwise FO difference and relative timing offset,
-    summed over the same lattice offsets.
+    evaluated at the relative timing offset, summed over the same lattice
+    offsets.
+
+    Returns (e_signal, e_self, profiles) where row i of profiles holds
+    aggressor i's energy at every signed FO difference, indexed qdiff + Q - 1.
+    Slicing the rows at the realized FO differences (``profile_at``) serves
+    any assignment without touching the channel convolution again, which is
+    what lets one drop serve several overlap modes.
     """
-    if noise_var < 0:
-        raise ParameterError("noise variance must be non-negative")
     lattice = cross_amb.lattice
-    own_key = (victim.link_id, victim.link_id)
-    if own_key not in realizations:
-        raise ConfigError(f"missing channel realization for {own_key}")
-    e_signal, e_self = _own_energies(cross_amb, realizations[own_key])
-    fo_step = lattice.nu0 / cross_amb.fo_quantum
-    per_aggressor = {}
-    for aggressor in aggressors:
-        key = (aggressor.link_id, victim.link_id)
+    for source in [victim] + list(aggressors):
+        key = (source.link_id, victim.link_id)
         if key not in realizations:
             raise ConfigError(f"missing channel realization for {key}")
-        qdiff = _relative_fo_index(aggressor, victim, fo_step)
+    e_signal, e_self = _own_energies(
+        cross_amb, realizations[(victim.link_id, victim.link_id)])
+    profiles = np.zeros((len(aggressors), 2 * cross_amb.fo_quantum - 1))
+    for i, aggressor in enumerate(aggressors):
         rel_delay = _relative_delay(aggressor, victim, lattice.tau0)
-        energy = cross_amb.cci_energy(realizations[key], rel_delay, qdiff)
-        per_aggressor[aggressor.link_id] = energy
+        profiles[i] = cross_amb.cci_energy_profile(
+            realizations[(aggressor.link_id, victim.link_id)], rel_delay)
+    return e_signal, e_self, profiles
+
+
+def profile_at(e_signal: float, e_self: float, profiles: np.ndarray,
+               aggressors, qdiffs, noise_var: float) -> InterferenceProfile:
+    """InterferenceProfile of ``victim_energy_tables`` at given FO differences.
+
+    qdiffs holds each aggressor's quantized FO index minus the victim's.
+    """
+    fo_quantum = (profiles.shape[1] + 1) // 2
+    per_aggressor = {}
+    for row, aggressor, qdiff in zip(profiles, aggressors, qdiffs):
+        if not -fo_quantum < qdiff < fo_quantum:
+            raise ConfigError("FO difference outside the quantized grid")
+        per_aggressor[aggressor.link_id] = float(row[qdiff + fo_quantum - 1])
     return InterferenceProfile(e_signal=e_signal, e_self=e_self,
                                noise_var=noise_var, per_aggressor=per_aggressor)
 
 
-def victim_energy_tables(victim, aggressors, realizations,
-                         cross_amb: CrossAmbiguity):
-    """Signal and self energies plus per-aggressor CCI profiles for one victim.
+def decompose(victim, aggressors, realizations, cross_amb: CrossAmbiguity,
+              noise_var: float) -> InterferenceProfile:
+    """Split the victim's received energy into signal, self, and cross terms.
 
-    Returns (e_signal, e_self, profiles) where profiles maps each aggressor's
-    link id to its energy at every signed FO difference, indexed qdiff + Q - 1.
-    Slicing a profile at the realized FO difference reproduces ``decompose``
-    for any assignment without touching the channel convolution again, which
-    is what lets one drop serve several overlap modes.
+    Aggressor terms are read at each link's quantized FO difference to the
+    victim; see ``victim_energy_tables`` for the lattice offsets summed.
     """
-    lattice = cross_amb.lattice
-    own_key = (victim.link_id, victim.link_id)
-    if own_key not in realizations:
-        raise ConfigError(f"missing channel realization for {own_key}")
-    e_signal, e_self = _own_energies(cross_amb, realizations[own_key])
-    profiles = {}
-    for aggressor in aggressors:
-        key = (aggressor.link_id, victim.link_id)
-        if key not in realizations:
-            raise ConfigError(f"missing channel realization for {key}")
-        rel_delay = _relative_delay(aggressor, victim, lattice.tau0)
-        profiles[aggressor.link_id] = cross_amb.cci_energy_profile(
-            realizations[key], rel_delay)
-    return e_signal, e_self, profiles
+    if noise_var < 0:
+        raise ParameterError("noise variance must be non-negative")
+    fo_step = cross_amb.lattice.nu0 / cross_amb.fo_quantum
+    qdiffs = [_relative_fo_index(aggressor, victim, fo_step)
+              for aggressor in aggressors]
+    tables = victim_energy_tables(victim, aggressors, realizations, cross_amb)
+    return profile_at(*tables, aggressors, qdiffs, noise_var)
 
 
 def sinr(profile: InterferenceProfile) -> float:
@@ -138,18 +144,9 @@ def sinr_linear(profile: InterferenceProfile) -> float:
     return profile.e_signal / denom
 
 
-def capacity(profile: InterferenceProfile, lattice: LatticeConfig = None) -> float:
-    """Spectral efficiency log2(1 + SINR) in bits/s/Hz.
-
-    The lattice argument is accepted for callers that later want absolute
-    rates; it does not change the per-symbol efficiency.
-    """
+def capacity(profile: InterferenceProfile) -> float:
+    """Spectral efficiency log2(1 + SINR) in bits/s/Hz."""
     return math.log2(1.0 + sinr_linear(profile))
-
-
-def sum_capacity(profiles) -> float:
-    """Network sum capacity: the per-link capacities added over all links."""
-    return sum(capacity(profile) for profile in profiles)
 
 
 def multiuser_efficiency(profile: InterferenceProfile, a_peak: float,
@@ -177,71 +174,33 @@ class ScenarioEnergies:
     """Precomputed energy tables for one scenario drop.
 
     Holds, for every ordered link pair, the cross-link interference energy at
-    each quantized FO difference, plus per-link signal and self energies.
-    Capacity then becomes a table lookup for any FO assignment, which is what
-    policy training iterates on.
+    each quantized FO difference (cci[source, victim, qdiff + Q - 1]), plus
+    per-link signal, self, and noise energies: one ``victim_energy_tables``
+    call per receiving link. Capacity then becomes a table lookup for any FO
+    assignment, which is what policy training iterates on.
     """
 
     def __init__(self, scenario, realizations, cross_amb: CrossAmbiguity,
                  snr_db: float = None, noise_var: float = None):
         if (snr_db is None) == (noise_var is None):
             raise ConfigError("specify exactly one of snr_db or noise_var")
-        self.cross_amb = cross_amb
         self.fo_quantum = cross_amb.fo_quantum
         links = list(scenario.links)
         self.link_ids = [link.link_id for link in links]
         count = len(links)
-        lattice = cross_amb.lattice
         self.e_signal = np.zeros(count)
         self.e_self = np.zeros(count)
-        window = 2 * self.fo_quantum - 1
-        self.cci = np.zeros((count, count, window))
+        self.cci = np.zeros((count, count, 2 * self.fo_quantum - 1))
         for u, victim in enumerate(links):
-            own = realizations[(victim.link_id, victim.link_id)]
-            self.e_signal[u], self.e_self[u] = _own_energies(cross_amb, own)
-            for i, source in enumerate(links):
-                if i == u:
-                    continue
-                pair = realizations[(source.link_id, victim.link_id)]
-                rel_delay = _relative_delay(source, victim, lattice.tau0)
-                self.cci[i, u] = cross_amb.cci_energy_profile(pair, rel_delay)
+            others = links[:u] + links[u + 1:]
+            self.e_signal[u], self.e_self[u], self.cci[np.arange(count) != u, u] = (
+                victim_energy_tables(victim, others, realizations, cross_amb))
         if snr_db is None:
             self.noise = np.full(count, float(noise_var))
         elif math.isinf(snr_db):
             self.noise = np.zeros(count)
         else:
             self.noise = self.e_signal / (10.0 ** (snr_db / 10.0))
-
-    def _qdiff_index(self, fo_indices) -> np.ndarray:
-        fo = np.asarray(fo_indices, dtype=int)
-        if len(fo) != len(self.link_ids):
-            raise ConfigError("one FO index per link is required")
-        return fo[:, None] - fo[None, :] + self.fo_quantum - 1
-
-    def interference_at(self, fo_indices) -> np.ndarray:
-        """Total cross-link interference energy seen by each link."""
-        idx = self._qdiff_index(fo_indices)
-        gathered = np.take_along_axis(self.cci, idx[:, :, None], axis=2)[:, :, 0]
-        return gathered.sum(axis=0)
-
-    def capacities(self, fo_indices) -> np.ndarray:
-        e_oi = self.interference_at(fo_indices)
-        with np.errstate(divide="ignore"):
-            ratio = self.e_signal / (self.e_self + e_oi + self.noise)
-        return np.log2(1.0 + ratio)
-
-    def sum_capacity(self, fo_indices) -> float:
-        return float(self.capacities(fo_indices).sum())
-
-    def profile_for(self, index: int, fo_indices) -> InterferenceProfile:
-        """InterferenceProfile of one link, identical to ``decompose``."""
-        idx = self._qdiff_index(fo_indices)
-        per_aggressor = {self.link_ids[i]: float(self.cci[i, index, idx[i, index]])
-                         for i in range(len(self.link_ids)) if i != index}
-        return InterferenceProfile(e_signal=float(self.e_signal[index]),
-                                   e_self=float(self.e_self[index]),
-                                   noise_var=float(self.noise[index]),
-                                   per_aggressor=per_aggressor)
 
 
 class EnsembleEvaluator:

@@ -135,12 +135,6 @@ class QTable:
                         key=lambda cand: _circular_l1(cand, state, self.fo_quantum))
         return int(np.argmax(sub[state]))
 
-    def state_value(self, count: int, state: tuple) -> float:
-        sub = self.per_count.get(count, {})
-        if state not in sub:
-            return -np.inf
-        return float(np.max(sub[state]))
-
     def fo_assignment(self, count: int) -> tuple:
         """Decode the trained table into an FO prescription for S aggressors.
 
@@ -179,15 +173,6 @@ class QTable:
             return (0, float(np.max(sub[cand])))
 
         return min(visited, key=improvement_left)
-
-    def merge(self, other: "QTable") -> None:
-        """Absorb another table's counts (training shards for distinct S)."""
-        if other.fo_quantum != self.fo_quantum:
-            raise ConfigError("tables quantize FOs differently")
-        for count, sub in other.per_count.items():
-            self.per_count[count] = {state: np.array(vec) for state, vec in sub.items()}
-            self.converged[count] = other.converged.get(count, False)
-        self.fallback_events += other.fallback_events
 
     @property
     def trained_counts(self) -> tuple:
@@ -233,11 +218,6 @@ class QTable:
                 table.converged[int(count)] = bool(
                     header["converged"].get(str(count), False))
         return table
-
-
-def greedy_policy(table: QTable, count: int, state: tuple) -> int:
-    """Greedy action for one state; ties resolve to the lowest action index."""
-    return table.greedy(count, tuple(state))
 
 
 def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,

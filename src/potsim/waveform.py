@@ -10,7 +10,6 @@ summing tap_gain * A(..., tap_delay) over channel taps reproduces the carrier
 rotation a delayed waveform physically picks up.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,83 +288,6 @@ def ambiguity(tx_filter: PrototypeFilter, rx_filter: PrototypeFilter,
     return complex(np.sum(shifted * rx_filter.samples * phase) / rx_filter.sample_rate)
 
 
-@dataclass(frozen=True, eq=False)
-class AmbiguityTable:
-    """Precomputed ambiguity values on the quantized offset grid.
-
-    values[dl + K - 1, dn, q] holds the ambiguity at time offset dl * tau0,
-    frequency offset dn * nu0 + q * nu0 / fo_quantum, and zero residual
-    delay.
-    """
-
-    values: np.ndarray
-    lattice: LatticeConfig
-    fo_quantum: int
-    tx_family: str
-    rx_family: str
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def fo_step(self) -> float:
-        return self.lattice.nu0 / self.fo_quantum
-
-    def entry(self, delta_l: int, delta_n: int, q: int) -> complex:
-        k = self.lattice.num_symbols
-        if not -k < delta_l < k:
-            raise ConfigError(f"delta_l {delta_l} outside [-(K-1), K-1]")
-        if not 0 <= delta_n < self.lattice.num_subcarriers:
-            raise ConfigError(f"delta_n {delta_n} outside [0, N-1]")
-        if not 0 <= q < self.fo_quantum:
-            raise ConfigError(f"FO index {q} outside [0, Q-1]")
-        return complex(self.values[delta_l + k - 1, delta_n, q])
-
-    def save(self, path):
-        np.savez(path, values=self.values,
-                 lattice=np.array([self.lattice.tau0, self.lattice.nu0,
-                                   self.lattice.num_subcarriers,
-                                   self.lattice.num_symbols]),
-                 fo_quantum=self.fo_quantum,
-                 families=np.array([self.tx_family, self.rx_family]))
-
-    @classmethod
-    def load(cls, path) -> "AmbiguityTable":
-        data = np.load(path, allow_pickle=False)
-        tau0, nu0, n_sub, n_sym = data["lattice"]
-        lattice = LatticeConfig(float(tau0), float(nu0), int(n_sub), int(n_sym))
-        families = data["families"]
-        return cls(values=data["values"], lattice=lattice,
-                   fo_quantum=int(data["fo_quantum"]),
-                   tx_family=str(families[0]), rx_family=str(families[1]))
-
-
-def build_ambiguity_table(tx_filter: PrototypeFilter, rx_filter: PrototypeFilter,
-                          lattice: LatticeConfig, fo_quantum: int = 8) -> AmbiguityTable:
-    """Tabulate the ambiguity over all offsets used by the interference sums."""
-    if fo_quantum < 1:
-        raise ParameterError("fo_quantum must be at least 1")
-    if tx_filter.sample_rate != rx_filter.sample_rate:
-        raise ConfigError("filters must share a sample rate")
-    k = lattice.num_symbols
-    n_sub = lattice.num_subcarriers
-    rate = rx_filter.sample_rate
-    u = rx_filter.time_grid
-    # Frequencies (dn + q / Q) * nu0 expressed in cycles per normalized time.
-    j = (np.arange(n_sub)[:, None] * fo_quantum + np.arange(fo_quantum)[None, :])
-    freqs = j.reshape(-1) * lattice.density / fo_quantum
-    phases = np.exp(2j * np.pi * np.outer(u, freqs))
-    delta_l = np.arange(-(k - 1), k, dtype=float)
-    shifted = tx_filter.resample_shifted(delta_l)
-    products = shifted * rx_filter.samples[None, :]
-    values = (products / rate) @ phases
-    # Re-anchor the modulation phase to the delayed pulse.
-    values *= np.exp(-2j * np.pi * np.outer(delta_l, freqs))
-    values = values.reshape(2 * k - 1, n_sub, fo_quantum)
-    return AmbiguityTable(values=values, lattice=lattice, fo_quantum=fo_quantum,
-                          tx_family=tx_filter.family, rx_family=rx_filter.family)
-
-
 class CrossAmbiguity:
     """Fast evaluator of channel-convolved ambiguity blocks.
 
@@ -433,18 +355,6 @@ class CrossAmbiguity:
         delta_n = np.arange(self._n_sub) - self.reference_subcarrier
         return delta_n * self.fo_quantum + qdiff - self._j0
 
-    def block(self, time_shift: float, qdiff: int) -> np.ndarray:
-        """Ambiguity over all (delta_l, delta_n) at one quantized FO difference.
-
-        time_shift is the residual transmit delay in tau0 units. Returns a
-        complex array of shape (2K - 1, N) whose entry [dl + K - 1, dn + n0]
-        holds delta_l = dl and delta_n = dn, with n0 the reference subcarrier.
-        """
-        cols = self._column_index(qdiff)
-        lags = self.delta_l + float(time_shift)
-        values = np.nan_to_num(self._spline(lags), copy=False)
-        return (values * self._twist(lags))[:, cols]
-
     def convolved_full(self, realization, rel_delay: float) -> np.ndarray:
         """Channel-convolved ambiguity over the whole frequency index grid.
 
@@ -467,11 +377,6 @@ class CrossAmbiguity:
     def convolved_block(self, realization, rel_delay: float, qdiff: int) -> np.ndarray:
         """Channel-convolved ambiguity block at one quantized FO difference."""
         return self.convolved_full(realization, rel_delay)[:, self._column_index(qdiff)]
-
-    def cci_energy(self, realization, rel_delay: float, qdiff: int) -> float:
-        """Total cross-link interference energy at one FO difference."""
-        block = self.convolved_block(realization, rel_delay, qdiff)
-        return float(np.sum(np.abs(block) ** 2))
 
     def cci_energy_profile(self, realization, rel_delay: float) -> np.ndarray:
         """CCI energy for every signed FO difference, indexed qdiff + Q - 1."""

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import potsim
 from potsim import ConfigError, MissingArtifactError
 from potsim.cli import main
+from potsim.qlearning import QTable
 from potsim.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -306,3 +308,48 @@ def test_cli_ambiguity_export(tmp_path):
     assert out.exists()
     assert main(["ambiguity", "--filter", "gaussian", "--param", "0",
                  "--out", str(out)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# run-path outputs pinned across versions
+
+#: sha256 of each results.csv body below its config_hash line (the hash
+#: covers the policy path, so it differs between checkouts), and the
+#: prescriptions decoded from the tiny policy. Energy-path refactors must
+#: leave every one of them unchanged.
+PINNED_CSV_SHA256 = {
+    "awgn_capacity_vs_aggressors":
+        "e4a1c0c2885b6841c21e0d8d282f9d49cd56f476b4d9c3f81dfd048638f3ea7e",
+    "epa_capacity_vs_snr":
+        "313bc55afa5560b25b5ede96206ab42b1c6038e1b6a96614b4087f2d603f86db",
+}
+PINNED_PRESCRIPTIONS = {1: (4,), 2: (4, 4), 3: (3, 5, 1), 4: (6, 3, 4, 7),
+                        5: (6, 0, 5, 3, 0)}
+
+
+def test_run_path_outputs_are_pinned(tmp_path):
+    trainer = quick_config(train_overrides={"episodes": 30, "ensemble": 2},
+                           train_if_missing=False)
+    table_path = tmp_path / "policy.npz"
+    assert main(["train", "--s-max", "5", "--out", str(table_path),
+                 "--config", str(write_config(tmp_path, trainer))]) in (0, 4)
+    table = QTable.load(table_path)
+    prescriptions = {count: table.fo_assignment(count) for count in range(1, 6)}
+    filters = ("gaussian", "rrc", "iota")
+    sweeps = {
+        "awgn_capacity_vs_aggressors": quick_config(
+            filters=filters, aggressor_grid=(2, 5)),
+        "epa_capacity_vs_snr": quick_config(
+            experiment="capacity_vs_snr", channel="epa", filters=filters,
+            snr_grid=(0.0, 20.0, math.inf), num_aggressors=5),
+    }
+    digests = {}
+    for name, config in sweeps.items():
+        config = replace(config, qtable_path=str(table_path),
+                         train_if_missing=False)
+        run(config, tmp_path / name)
+        body = (tmp_path / name / "results.csv").read_bytes().split(b"\n", 1)[1]
+        digests[name] = hashlib.sha256(body).hexdigest()
+    fresh = f"fresh digests {digests}, prescriptions {prescriptions}"
+    assert digests == PINNED_CSV_SHA256, fresh
+    assert prescriptions == PINNED_PRESCRIPTIONS, fresh

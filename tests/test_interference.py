@@ -23,7 +23,6 @@ from potsim import (
     outage,
     sinr,
     sinr_linear,
-    sum_capacity,
     victim_energy_tables,
 )
 
@@ -197,12 +196,6 @@ def test_capacity_is_shannon_in_the_linear_ratio():
     assert capacity(profile) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_sum_capacity_adds_per_link_capacities():
-    profiles = [InterferenceProfile(e_signal=3.0, e_self=0.0, noise_var=1.0),
-                InterferenceProfile(e_signal=1.0, e_self=0.0, noise_var=1.0)]
-    assert sum_capacity(profiles) == pytest.approx(3.0, abs=1e-12)
-
-
 def test_efficiency_is_one_without_interference():
     profile = InterferenceProfile(e_signal=1.0, e_self=0.0, noise_var=0.2)
     assert multiuser_efficiency(profile, a_peak=1.0, g_u=1.0) == 1.0
@@ -264,18 +257,31 @@ def build_scenario(lattice, num_links, seed):
     return scenario, realizations
 
 
+def network_capacity(scenario, realizations, cross, noise):
+    """Sum over links of the direct-route capacity, each link as the victim."""
+    total = 0.0
+    for index, victim in enumerate(scenario.links):
+        aggressors = [link for link in scenario.links if link is not victim]
+        total += capacity(decompose(victim, aggressors, realizations, cross,
+                                    float(noise[index])))
+    return total
+
+
 def test_scenario_tables_reproduce_direct_decomposition(lattice, cross_gaussian):
     scenario, realizations = build_scenario(lattice, 4, seed=77)
     energies = ScenarioEnergies(scenario, realizations, cross_gaussian, noise_var=0.01)
-    fo_indices = [link.fo_index for link in scenario.links]
     for index, victim in enumerate(scenario.links):
         aggressors = [link for link in scenario.links if link is not victim]
         direct = decompose(victim, aggressors, realizations, cross_gaussian, 0.01)
-        tabled = energies.profile_for(index, fo_indices)
-        assert tabled.e_signal == pytest.approx(direct.e_signal, rel=1e-12)
-        assert tabled.e_self == pytest.approx(direct.e_self, rel=1e-12)
-        for link_id, energy in direct.per_aggressor.items():
-            assert tabled.per_aggressor[link_id] == pytest.approx(energy, rel=1e-9)
+        assert energies.e_signal[index] == pytest.approx(direct.e_signal, rel=1e-12)
+        assert energies.e_self[index] == pytest.approx(direct.e_self, rel=1e-12)
+        assert energies.noise[index] == 0.01
+        for source, link in enumerate(scenario.links):
+            if link is victim:
+                continue
+            qdiff = link.fo_index - victim.fo_index
+            tabled = energies.cci[source, index, qdiff + Q - 1]
+            assert tabled == pytest.approx(direct.per_aggressor[link.link_id], rel=1e-9)
 
 
 def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian):
@@ -287,19 +293,23 @@ def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian):
     direct = decompose(victim, aggressors, realizations, cross_gaussian, 0.0)
     assert e_signal == pytest.approx(direct.e_signal, rel=1e-12)
     assert e_self == pytest.approx(direct.e_self, rel=1e-12)
-    for aggressor in aggressors:
+    assert profiles.shape == (len(aggressors), 2 * Q - 1)
+    for row, aggressor in zip(profiles, aggressors):
         qdiff = aggressor.fo_index - victim.fo_index
-        sliced = profiles[aggressor.link_id][qdiff + Q - 1]
+        sliced = row[qdiff + Q - 1]
         assert sliced == pytest.approx(direct.per_aggressor[aggressor.link_id], rel=1e-9)
 
 
 def test_scenario_sum_capacity_matches_profile_route(lattice, cross_gaussian):
     scenario, realizations = build_scenario(lattice, 4, seed=79)
+    # The evaluator holds the first link at FO 0.
+    scenario.set_fo_index(scenario.links[0], 0)
     energies = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0)
-    fo_indices = [link.fo_index for link in scenario.links]
-    via_profiles = sum(
-        capacity(energies.profile_for(i, fo_indices)) for i in range(4))
-    assert energies.sum_capacity(fo_indices) == pytest.approx(via_profiles, rel=1e-12)
+    state = tuple(link.fo_index for link in scenario.links[1:])
+    via_profiles = network_capacity(scenario, realizations, cross_gaussian,
+                                    energies.noise)
+    evaluator = EnsembleEvaluator([energies])
+    assert evaluator.mean_sum_capacity(state) == pytest.approx(via_profiles, rel=1e-12)
 
 
 def test_infinite_snr_zeroes_the_noise_floor(lattice, cross_gaussian):
@@ -310,10 +320,15 @@ def test_infinite_snr_zeroes_the_noise_floor(lattice, cross_gaussian):
 
 def test_ensemble_evaluator_averages_per_drop_capacities(lattice, cross_gaussian):
     drops = []
+    per_drop = []
     for seed in (101, 102, 103):
         scenario, realizations = build_scenario(lattice, 3, seed=seed)
-        drops.append(ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0))
+        for link, q in zip(scenario.links, (0, 2, 7)):
+            scenario.set_fo_index(link, q)
+        drop = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0)
+        drops.append(drop)
+        per_drop.append(network_capacity(scenario, realizations, cross_gaussian,
+                                         drop.noise))
     evaluator = EnsembleEvaluator(drops)
     state = (2, 7)
-    per_drop = [drop.sum_capacity([0, 2, 7]) for drop in drops]
     assert evaluator.mean_sum_capacity(state) == pytest.approx(np.mean(per_drop), rel=1e-12)

@@ -17,7 +17,6 @@ from potsim import (
     PolicyUnavailableError,
     QTable,
     entry_sequence,
-    greedy_policy,
     q_update,
     reward,
     train,
@@ -110,24 +109,24 @@ def test_action_effect_steps_one_link_with_wraparound():
 def test_greedy_picks_the_argmax_action():
     table = QTable(fo_quantum=Q)
     table.per_count[1] = {(0,): np.array([0.0, 2.0, 5.0])}
-    assert greedy_policy(table, 1, (0,)) == 2
+    assert table.greedy(1, (0,)) == 2
 
 
 def test_greedy_breaks_ties_toward_the_lowest_index():
     table = QTable(fo_quantum=Q)
     table.per_count[1] = {(0,): np.array([1.0, 1.0, 1.0])}
-    assert greedy_policy(table, 1, (0,)) == 0
+    assert table.greedy(1, (0,)) == 0
     table.per_count[1][(0,)] = np.array([0.5, 1.0, 1.0])
-    assert greedy_policy(table, 1, (0,)) == 1
+    assert table.greedy(1, (0,)) == 1
 
 
 def test_greedy_is_invariant_to_positive_scaling():
     table = QTable(fo_quantum=Q)
     values = np.array([0.3, 1.7, 0.9])
     table.per_count[1] = {(0,): values}
-    before = greedy_policy(table, 1, (0,))
+    before = table.greedy(1, (0,))
     table.per_count[1][(0,)] = 4.0 * values
-    assert greedy_policy(table, 1, (0,)) == before
+    assert table.greedy(1, (0,)) == before
 
 
 def test_unknown_state_borrows_the_circularly_nearest_neighbor():
@@ -136,16 +135,16 @@ def test_unknown_state_borrows_the_circularly_nearest_neighbor():
                           (4,): np.array([0.0, 0.0, 1.0])}
     assert table.fallback_events == 0
     # (7,) wraps to distance 1 from (0,) but 3 from (4,).
-    assert greedy_policy(table, 1, (7,)) == 1
+    assert table.greedy(1, (7,)) == 1
     assert table.fallback_events == 1
-    assert greedy_policy(table, 1, (3,)) == 2
+    assert table.greedy(1, (3,)) == 2
     assert table.fallback_events == 2
 
 
 def test_untrained_count_is_a_policy_error():
     table = QTable(fo_quantum=Q)
     with pytest.raises(PolicyUnavailableError):
-        greedy_policy(table, 2, (0, 0))
+        table.greedy(2, (0, 0))
 
 
 def test_decode_returns_the_absorbing_state_of_the_greedy_walk():

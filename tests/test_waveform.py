@@ -15,13 +15,11 @@ from scipy.integrate import quad
 
 import potsim
 from potsim import (
-    AmbiguityTable,
     ConfigError,
     CrossAmbiguity,
     LatticeConfig,
     ParameterError,
     ambiguity,
-    build_ambiguity_table,
     filter_factory,
     make_gaussian,
     make_iota,
@@ -305,50 +303,19 @@ def test_iota_stays_close_to_gaussian_away_from_lattice_points(lattice):
 
 
 # ---------------------------------------------------------------------------
-# precomputed table
-
-
-def test_table_has_one_entry_per_offset_combination(gaussian_02, lattice):
-    table = build_ambiguity_table(gaussian_02, gaussian_02, lattice, fo_quantum=8)
-    assert len(table) == (2 * 12 - 1) * 12 * 8
-
-
-def test_table_peak_entry_is_unity(gaussian_02, lattice):
-    table = build_ambiguity_table(gaussian_02, gaussian_02, lattice, fo_quantum=8)
-    assert abs(table.entry(0, 0, 0) - 1.0) < 1e-6
-
-
-def test_table_entries_agree_with_direct_evaluation(gaussian_02, lattice):
-    table = build_ambiguity_table(gaussian_02, gaussian_02, lattice, fo_quantum=8)
-    direct = ambiguity(gaussian_02, gaussian_02, lattice,
-                       delta_l=1, delta_n=2, delta_f=3 * lattice.nu0 / 8)
-    assert abs(table.entry(1, 2, 3) - direct) < 1e-12
-
-
-def test_table_entries_respect_the_unit_bound(gaussian_02, lattice):
-    table = build_ambiguity_table(gaussian_02, gaussian_02, lattice, fo_quantum=8)
-    assert np.all(np.abs(table.values) <= 1.0 + 1e-9)
-
-
-def test_table_round_trips_through_disk(tmp_path, gaussian_02, lattice):
-    table = build_ambiguity_table(gaussian_02, gaussian_02, lattice, fo_quantum=8)
-    path = tmp_path / "table.npz"
-    table.save(path)
-    loaded = AmbiguityTable.load(path)
-    assert np.array_equal(loaded.values, table.values)
-    assert loaded.fo_quantum == table.fo_quantum
-    assert loaded.lattice.tau0 == table.lattice.tau0
-
-
-# ---------------------------------------------------------------------------
 # channel-facing evaluator
+
+
+def unit_tap():
+    return potsim.ChannelRealization(link_id=(1, 0), path_gain=1.0,
+                                     tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
 
 
 def test_cross_ambiguity_block_matches_direct_values(cross_gaussian, gaussian_02, lattice):
     # Columns are indexed delta_n + n0; delta_n = 0 and -1 carry |A| of about
     # 0.14 and 0.02 here, so a wrong column or a wrong twist cannot hide
     # below the tolerance.
-    block = cross_gaussian.block(0.37, qdiff=3)
+    block = cross_gaussian.convolved_block(unit_tap(), 0.37 * lattice.tau0, 3)
     n0 = cross_gaussian.reference_subcarrier
     assert n0 == 6
     for delta_n in (0, -1):
@@ -360,8 +327,12 @@ def test_cross_ambiguity_block_matches_direct_values(cross_gaussian, gaussian_02
 
 
 def test_cross_ambiguity_block_vanishes_beyond_combined_span(cross_gaussian):
-    block = cross_gaussian.block(40.0, qdiff=0)
-    assert np.all(block == 0)
+    block = cross_gaussian.convolved_block(unit_tap(), 0.0, 0)
+    # Strictly beyond: the lag at exactly max_lag still reads a spline knot.
+    beyond = np.abs(cross_gaussian.delta_l) > cross_gaussian.max_lag
+    assert beyond.any()
+    assert np.all(block[beyond] == 0)
+    assert abs(block[12 - 1, cross_gaussian.reference_subcarrier]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cci_profile_columns_match_single_offset_energies(cross_gaussian, rng):
@@ -370,7 +341,8 @@ def test_cci_profile_columns_match_single_offset_energies(cross_gaussian, rng):
     delay = 0.42 * cross_gaussian.lattice.tau0
     profile = cross_gaussian.cci_energy_profile(realization, delay)
     for qdiff in (-7, -3, 0, 2, 7):
-        single = cross_gaussian.cci_energy(realization, delay, qdiff)
+        block = cross_gaussian.convolved_block(realization, delay, qdiff)
+        single = float(np.sum(np.abs(block) ** 2))
         assert profile[qdiff + 8 - 1] == pytest.approx(single, rel=1e-12)
 
 
@@ -381,8 +353,6 @@ def test_cci_profile_is_periodic_in_the_fo_difference(family, lattice):
     # if the victim has subcarrier neighbours on both sides.
     pulse = filter_factory(family, 0.2)
     cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
-    realization = potsim.ChannelRealization(link_id=(1, 0), path_gain=1.0,
-                                            tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
-    profile = cross.cci_energy_profile(realization, 0.42 * lattice.tau0)
+    profile = cross.cci_energy_profile(unit_tap(), 0.42 * lattice.tau0)
     for q in range(1, 8):
         assert profile[q + 8 - 1] == pytest.approx(profile[q - 8 + 8 - 1], rel=1e-5)
