@@ -14,6 +14,7 @@ from .errors import (ConfigError, MissingArtifactError, ParameterError,
                      PolicyUnavailableError)
 from .experiments import (ExperimentConfig, export_ambiguity_surface, run,
                           train_policy, write_surface_csv)
+from .qlearning import artifact_path
 from .waveform import FILTER_FAMILIES, filter_factory
 
 EXIT_OK = 0
@@ -97,9 +98,7 @@ def _cmd_train(args) -> int:
     if args.s_max < 1:
         raise ConfigError("--s-max must be at least 1")
     table = train_policy(config, args.s_max)
-    out = Path(args.out)
-    if out.suffix != ".npz":
-        out = out.with_name(out.name + ".npz")
+    out = artifact_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
     not_converged = sorted(c for c in table.per_count

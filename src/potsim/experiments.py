@@ -22,7 +22,7 @@ from .interference import (InterferenceProfile, ScenarioEnergies, capacity,
                            multiuser_efficiency, outage, profile_at,
                            victim_energy_tables)
 from .network import (Link, NetworkScenario, entry_sequence, sample_point_near)
-from .qlearning import Hyperparams, QTable, train
+from .qlearning import Hyperparams, QTable, artifact_path, train
 from .waveform import (CrossAmbiguity, FILTER_FAMILIES, LatticeConfig,
                        filter_factory)
 
@@ -279,10 +279,7 @@ def _mean_ci(values) -> tuple:
 
 
 def _policy_path(config: ExperimentConfig, out_dir: Path) -> Path:
-    path = Path(config.qtable_path) if config.qtable_path else out_dir / "qtable.npz"
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    return path
+    return artifact_path(config.qtable_path or out_dir / "qtable.npz")
 
 
 def train_policy(config: ExperimentConfig, s_max: int) -> QTable:

@@ -7,7 +7,9 @@ into FO prescriptions that the entry protocol hands to arriving links.
 """
 
 import json
+import zipfile
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +18,15 @@ from .interference import EnsembleEvaluator
 
 ARTIFACT_FORMAT = "potsim-qtable"
 ARTIFACT_VERSION = 1
+
+
+def artifact_path(path) -> Path:
+    """Path of the Q-table artifact named ``path``: ``.npz`` is appended when
+    missing, as ``numpy.savez_compressed`` does on save."""
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    return path
 
 
 @dataclass(frozen=True)
@@ -119,9 +130,10 @@ class QTable:
     def values_for(self, count: int, state: tuple) -> np.ndarray:
         """Mutable value vector for a state, created on first touch."""
         sub = self.per_count.setdefault(count, {})
-        if state not in sub:
-            sub[state] = np.zeros(self.num_actions(count))
-        return sub[state]
+        values = sub.get(state)
+        if values is None:
+            values = sub[state] = np.zeros(self.num_actions(count))
+        return values
 
     def greedy(self, count: int, state: tuple) -> int:
         """Greedy action index, borrowing the nearest trained state if needed."""
@@ -199,25 +211,57 @@ class QTable:
 
     @classmethod
     def load(cls, path) -> "QTable":
-        with np.load(path, allow_pickle=False) as data:
+        """Read an artifact written by ``save``; ConfigError if malformed."""
+        # Opened here because np.load leaves its own handle open when it
+        # meets a broken zip.
+        with open(path, "rb") as handle:
+            try:
+                data = np.load(handle, allow_pickle=False)
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise ConfigError(f"{path} is not an npz Q-table artifact") from exc
+            if isinstance(data, np.ndarray):
+                raise ConfigError(f"{path} is not an npz Q-table artifact")
+            with data:
+                return cls._from_npz(data)
+
+    @classmethod
+    def _from_npz(cls, data) -> "QTable":
+        if "header" not in data.files:
+            raise ConfigError("not a Q-table artifact")
+        try:
             header = json.loads(bytes(data["header"]).decode())
-            if header.get("format") != ARTIFACT_FORMAT:
-                raise ConfigError("not a Q-table artifact")
-            if header.get("version") != ARTIFACT_VERSION:
-                raise ConfigError("unsupported Q-table artifact version")
-            table = cls(fo_quantum=int(header["fo_quantum"]),
-                        hyperparams=Hyperparams.from_dict(header["hyperparams"]),
-                        seed=int(header["seed"]),
-                        fallback_events=int(header.get("fallback_events", 0)))
-            for count in header["counts"]:
-                states = data[f"states_{count}"]
-                values = data[f"values_{count}"]
-                table.per_count[int(count)] = {
-                    tuple(int(q) for q in row): np.array(vec)
-                    for row, vec in zip(states, values)}
-                table.converged[int(count)] = bool(
-                    header["converged"].get(str(count), False))
+        except ValueError as exc:
+            raise ConfigError("Q-table artifact header is not JSON") from exc
+        if header.get("format") != ARTIFACT_FORMAT:
+            raise ConfigError("not a Q-table artifact")
+        if header.get("version") != ARTIFACT_VERSION:
+            raise ConfigError("unsupported Q-table artifact version")
+        table = cls(fo_quantum=int(header["fo_quantum"]),
+                    hyperparams=Hyperparams.from_dict(header["hyperparams"]),
+                    seed=int(header["seed"]),
+                    fallback_events=int(header.get("fallback_events", 0)))
+        for count in map(int, header["counts"]):
+            table.per_count[count] = _read_count(data, count)
+            table.converged[count] = bool(
+                header["converged"].get(str(count), False))
         return table
+
+
+def _read_count(data, count: int) -> dict:
+    """One count's {state tuple: value vector} from an open artifact."""
+    names = (f"states_{count}", f"values_{count}")
+    missing = [name for name in names if name not in data.files]
+    if missing:
+        raise ConfigError(f"Q-table artifact lacks {', '.join(missing)}")
+    states, values = data[names[0]], data[names[1]]
+    if states.ndim != 2 or states.shape[1] != count:
+        raise ConfigError(f"{names[0]} must have shape (n, {count})")
+    if values.shape != (len(states), 2 * count + 1):
+        raise ConfigError(
+            f"{names[1]} must have shape ({len(states)}, {2 * count + 1})")
+    # tolist() yields Python ints, so keys hash and compare like the
+    # tuples training builds; each value is a row view of ``values``.
+    return dict(zip(map(tuple, states.tolist()), values))
 
 
 def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
@@ -228,9 +272,10 @@ def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
     capacity_cache = {}
 
     def mean_capacity(state):
-        if state not in capacity_cache:
-            capacity_cache[state] = evaluator.mean_sum_capacity(state)
-        return capacity_cache[state]
+        capacity = capacity_cache.get(state)
+        if capacity is None:
+            capacity = capacity_cache[state] = evaluator.mean_sum_capacity(state)
+        return capacity
 
     for episode in range(hp.episodes):
         eps = hp.epsilon(episode)
@@ -242,11 +287,11 @@ def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
             if rng.random() < eps:
                 action = int(rng.integers(num_actions))
             else:
-                action = int(np.argmax(values))
+                action = int(values.argmax())
             next_state = table.action_effect(state, action)
             cap_now = mean_capacity(next_state)
             step_reward = reward(cap_now, cap_prev, hp.lambda1)
-            max_next = float(np.max(table.values_for(count, next_state)))
+            max_next = float(table.values_for(count, next_state).max())
             old = float(values[action])
             new = q_update(old, step_reward, max_next, hp.beta, hp.gamma)
             values[action] = new

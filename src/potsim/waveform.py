@@ -367,7 +367,12 @@ class CrossAmbiguity:
         if np.any(np.abs(delays) >= self.max_lag):
             raise ParameterError("tap delay exceeds the filter span")
         lags = self.delta_l[:, None] + delays[None, :]
-        values = np.nan_to_num(self._spline(lags.reshape(-1)), copy=False)
+        # The pulses do not overlap beyond max_lag, so only in-span lags reach
+        # the spline; the rest stay exactly zero.
+        flat = lags.reshape(-1)
+        inside = np.abs(flat) <= self.max_lag
+        values = np.zeros((flat.size, len(self._freqs)), dtype=complex)
+        values[inside] = self._spline(flat[inside])
         values = values.reshape(len(self.delta_l), len(delays), -1)
         values = values * self._twist(lags)
         gains = np.asarray(realization.tap_gains)

@@ -374,6 +374,7 @@ def test_criterion_6_fading_hurts_full_overlap_more(snr_sweep_awgn,
         "rests on")
 
 
+@pytest.mark.slow
 def test_criterion_7_filter_orderings(density_sweeps):
     me = density_sweeps["me"]
     outage = density_sweeps["outage"]
@@ -420,6 +421,7 @@ def test_criterion_7_filter_orderings(density_sweeps):
         "reference: " + detail)
 
 
+@pytest.mark.slow
 def test_criterion_8_density_monotonicity_and_convergence(density_sweeps):
     capacity = density_sweeps["capacity"]
     outage = density_sweeps["outage"]

@@ -300,6 +300,33 @@ def test_cli_train_then_run_without_retraining(tmp_path):
     assert summary["qtable"]["trained_now"] is False
 
 
+def test_cli_train_and_run_share_the_npz_naming_rule(tmp_path):
+    config = quick_config(train_if_missing=False)
+    cfg_path = write_config(tmp_path, config)
+    bare = tmp_path / "policies" / "p"
+    assert main(["train", "--s-max", "2", "--out", str(bare),
+                 "--config", str(cfg_path)]) in (0, 4)
+    assert (tmp_path / "policies" / "p.npz").exists()
+    assert not bare.exists()
+    runnable = tmp_path / "config2.json"
+    runnable.write_text(json.dumps(
+        quick_config(train_if_missing=False, qtable_path=str(bare)).to_dict()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(runnable), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["qtable"]["trained_now"] is False
+    assert summary["qtable"]["path"] == str(bare) + ".npz"
+
+
+def test_cli_run_rejects_a_malformed_artifact(tmp_path, capsys):
+    artifact = tmp_path / "policy.npz"
+    artifact.write_text("not an artifact\n")
+    config = quick_config(train_if_missing=False, qtable_path=str(artifact))
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "not an npz Q-table artifact" in capsys.readouterr().err
+
+
 def test_cli_ambiguity_export(tmp_path):
     out = tmp_path / "surface.csv"
     code = main(["ambiguity", "--filter", "gaussian", "--param", "1.0",

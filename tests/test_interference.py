@@ -1,6 +1,7 @@
 """Energy decomposition, SINR, capacity, efficiency, and outage."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -332,3 +333,46 @@ def test_ensemble_evaluator_averages_per_drop_capacities(lattice, cross_gaussian
     evaluator = EnsembleEvaluator(drops)
     state = (2, 7)
     assert evaluator.mean_sum_capacity(state) == pytest.approx(np.mean(per_drop), rel=1e-12)
+
+
+def take_along_axis_capacity(evaluator, state):
+    """The capacity query as one take_along_axis gather: the fast path's oracle."""
+    assignment = np.concatenate(([0], np.asarray(state, dtype=int)))
+    idx = assignment[:, None] - assignment[None, :] + evaluator.fo_quantum - 1
+    gathered = np.take_along_axis(
+        evaluator._cci, idx[None, :, :, None], axis=3)[..., 0]
+    e_oi = gathered.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        ratio = evaluator._e_signal / (evaluator._e_self + e_oi + evaluator._noise)
+    return float(np.log2(1.0 + ratio).sum(axis=1).mean())
+
+
+def random_drop(num_links, rng):
+    """Energy tables with independent random entries in every cell."""
+    return types.SimpleNamespace(
+        link_ids=list(range(num_links)), fo_quantum=Q,
+        cci=rng.exponential(size=(num_links, num_links, 2 * Q - 1)),
+        e_signal=rng.exponential(size=num_links),
+        e_self=rng.exponential(0.1, size=num_links),
+        noise=rng.exponential(0.1, size=num_links))
+
+
+@pytest.mark.parametrize("count", [1, 5, 12])
+def test_mean_sum_capacity_is_bit_identical_to_the_gather_oracle(count):
+    rng = np.random.default_rng(count)
+    evaluator = EnsembleEvaluator([random_drop(count + 1, rng) for _ in range(3)])
+    # The FO grid wraps: Q - 1 next to 0 reads the extreme columns 0 and 2Q - 2.
+    wrap = [tuple((Q - 1) * (i % 2) for i in range(count)),
+            (0,) * count, (Q - 1,) * count]
+    random_states = [tuple(int(q) for q in rng.integers(0, Q, count))
+                     for _ in range(200)]
+    for state in wrap + random_states:
+        assert (evaluator.mean_sum_capacity(state)
+                == take_along_axis_capacity(evaluator, state))
+
+
+def test_mean_sum_capacity_rejects_states_off_the_grid():
+    evaluator = EnsembleEvaluator([random_drop(3, np.random.default_rng(0))])
+    for state in ((0, Q), (-1, 0), (0,)):
+        with pytest.raises(potsim.ConfigError):
+            evaluator.mean_sum_capacity(state)

@@ -194,6 +194,78 @@ def test_artifact_round_trips_exactly(tmp_path):
     for count, sub in table.per_count.items():
         for state, values in sub.items():
             assert np.array_equal(loaded.per_count[count][state], values)
+        for state in loaded.per_count[count]:
+            assert type(state) is tuple
+            assert all(type(q) is int for q in state)
+    # Keys hash like the tuples training builds, so lookups need no fallback.
+    for state in table.per_count[1]:
+        assert loaded.greedy(1, state) == table.greedy(1, state)
+    for count in (1, 2):
+        assert loaded.fo_assignment(count) == table.fo_assignment(count)
+    assert loaded.fallback_events == 0
+
+
+def saved_arrays(tmp_path):
+    """The arrays of a saved two-count artifact, by name."""
+    table = QTable(fo_quantum=Q)
+    table.per_count[1] = {(0,): np.zeros(3), (3,): np.ones(3)}
+    table.per_count[2] = {(1, 5): np.ones(5)}
+    path = tmp_path / "table.npz"
+    table.save(path)
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
+
+
+def load_tampered(tmp_path, arrays):
+    tampered = tmp_path / "tampered.npz"
+    np.savez_compressed(tampered, **arrays)
+    return QTable.load(tampered)
+
+
+@pytest.mark.parametrize("name", ["states_2", "values_1"])
+def test_artifact_missing_a_count_array_is_a_config_error(tmp_path, name):
+    arrays = saved_arrays(tmp_path)
+    del arrays[name]
+    with pytest.raises(ConfigError, match=name):
+        load_tampered(tmp_path, arrays)
+
+
+def test_artifact_states_of_the_wrong_width_are_a_config_error(tmp_path):
+    arrays = saved_arrays(tmp_path)
+    arrays["states_2"] = np.array([[1, 5, 0]])
+    with pytest.raises(ConfigError, match="states_2"):
+        load_tampered(tmp_path, arrays)
+    arrays["states_2"] = np.array([1, 5])
+    with pytest.raises(ConfigError, match="states_2"):
+        load_tampered(tmp_path, arrays)
+
+
+def test_artifact_values_of_the_wrong_shape_are_a_config_error(tmp_path):
+    arrays = saved_arrays(tmp_path)
+    arrays["values_1"] = np.zeros((2, 5))
+    with pytest.raises(ConfigError, match="values_1"):
+        load_tampered(tmp_path, arrays)
+    arrays["values_1"] = np.zeros((3, 3))
+    with pytest.raises(ConfigError, match="values_1"):
+        load_tampered(tmp_path, arrays)
+
+
+@pytest.mark.parametrize("kind", ["text", "npy", "empty", "zip", "no_header"])
+def test_a_file_that_is_not_an_npz_artifact_is_a_config_error(tmp_path, kind):
+    path = tmp_path / "policy.npz"
+    if kind == "text":
+        path.write_text("not an artifact\n")
+    elif kind == "npy":
+        with open(path, "wb") as handle:
+            np.save(handle, np.zeros(3))
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "zip":
+        path.write_bytes(b"PK\x03\x04truncated")
+    else:
+        np.savez_compressed(path, values_1=np.zeros((1, 3)))
+    with pytest.raises(ConfigError):
+        QTable.load(path)
 
 
 def test_artifact_version_and_format_are_checked(tmp_path):

@@ -356,3 +356,56 @@ def test_cci_profile_is_periodic_in_the_fo_difference(family, lattice):
     profile = cross.cci_energy_profile(unit_tap(), 0.42 * lattice.tau0)
     for q in range(1, 8):
         assert profile[q + 8 - 1] == pytest.approx(profile[q - 8 + 8 - 1], rel=1e-5)
+
+
+def nan_to_num_convolved_full(cross, realization, rel_delay):
+    """convolved_full with the spline read at every lag and NaN set to zero."""
+    tau0 = cross.lattice.tau0
+    delays = np.asarray(realization.tap_delays) / tau0 + rel_delay / tau0
+    lags = cross.delta_l[:, None] + delays[None, :]
+    values = np.nan_to_num(cross._spline(lags.reshape(-1)), copy=False)
+    values = values.reshape(len(cross.delta_l), len(delays), -1)
+    values = values * cross._twist(lags)
+    block = np.einsum("t,ltj->lj", np.asarray(realization.tap_gains), values)
+    return np.sqrt(realization.path_gain) * block
+
+
+def epa_realization(seed):
+    model = potsim.ChannelModel.epa(800e6)
+    return potsim.realize_channel(model, 150.0, np.random.default_rng(seed),
+                                  link_id=(1, 0))
+
+
+def test_convolved_full_is_finite_and_zero_beyond_the_span(cross_gaussian):
+    tau0 = cross_gaussian.lattice.tau0
+    realization = epa_realization(5)
+    rel_delay = 0.6 * tau0
+    full = cross_gaussian.convolved_full(realization, rel_delay)
+    assert np.all(np.isfinite(full))
+    delays = np.asarray(realization.tap_delays) / tau0 + rel_delay / tau0
+    lags = cross_gaussian.delta_l[:, None] + delays[None, :]
+    beyond = np.all(np.abs(lags) > cross_gaussian.max_lag, axis=1)
+    assert beyond.any() and not beyond.all()
+    assert np.all(full[beyond] == 0)
+    assert np.all(np.abs(full[~beyond]).max(axis=1) > 0)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "iota"])
+def test_convolved_full_matches_the_nan_to_num_formula_at_the_span_edge(
+        family, lattice):
+    pulse = filter_factory(family, 0.2)
+    cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
+    tau0 = lattice.tau0
+    realization = epa_realization(9)
+    taps = np.asarray(realization.tap_delays) / tau0
+    edge_row = int(cross.max_lag) - 1
+    # rel_delay moves row edge_row so that taps up to ``split`` sit at or
+    # inside max_lag and later taps beyond it; split 0 puts tap 0 exactly on
+    # max_lag, the last spline knot.
+    for split in (0.0, taps[3], taps[5]):
+        rel_delay = (cross.max_lag - edge_row - split) * tau0
+        lags = edge_row + (taps + rel_delay / tau0)
+        assert (lags <= cross.max_lag).any() and (lags > cross.max_lag).any()
+        assert np.array_equal(cross.convolved_full(realization, rel_delay),
+                              nan_to_num_convolved_full(cross, realization,
+                                                        rel_delay))
