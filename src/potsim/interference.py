@@ -234,6 +234,10 @@ class EnsembleEvaluator:
         self._flat_cci = self._cci.reshape(-1)
         self._qdiff_zero = (np.arange(ensemble * links * links).reshape(
             ensemble, links, links) * window + self.fo_quantum - 1)
+        # CCI entries are non-negative, so a positive self-plus-noise floor
+        # on every link rules out a zero denominator for any state; only
+        # otherwise does a query need to silence the divide warning.
+        self._may_divide_by_zero = not np.all(self._e_self + self._noise > 0)
 
     def mean_sum_capacity(self, state) -> float:
         if len(state) != self.num_aggressors:
@@ -247,7 +251,10 @@ class EnsembleEvaluator:
         qdiffs = np.subtract.outer(assignment, assignment)
         gathered = self._flat_cci.take(self._qdiff_zero + qdiffs)
         e_oi = gathered.sum(axis=1)
-        with np.errstate(divide="ignore"):
+        if self._may_divide_by_zero:
+            with np.errstate(divide="ignore"):
+                ratio = self._e_signal / (self._e_self + e_oi + self._noise)
+        else:
             ratio = self._e_signal / (self._e_self + e_oi + self._noise)
         per_drop = np.log2(1.0 + ratio).sum(axis=1)
         # sum / size is the arithmetic of ndarray.mean without its overhead.

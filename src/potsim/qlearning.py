@@ -232,19 +232,46 @@ class QTable:
             header = json.loads(bytes(data["header"]).decode())
         except ValueError as exc:
             raise ConfigError("Q-table artifact header is not JSON") from exc
-        if header.get("format") != ARTIFACT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != ARTIFACT_FORMAT:
             raise ConfigError("not a Q-table artifact")
         if header.get("version") != ARTIFACT_VERSION:
             raise ConfigError("unsupported Q-table artifact version")
-        table = cls(fo_quantum=int(header["fo_quantum"]),
-                    hyperparams=Hyperparams.from_dict(header["hyperparams"]),
-                    seed=int(header["seed"]),
-                    fallback_events=int(header.get("fallback_events", 0)))
-        for count in map(int, header["counts"]):
+        _check_header(header)
+        try:
+            hyperparams = Hyperparams.from_dict(header["hyperparams"])
+        except (TypeError, ParameterError) as exc:
+            raise ConfigError(f"Q-table artifact hyperparams are invalid: {exc}") from exc
+        table = cls(fo_quantum=header["fo_quantum"], hyperparams=hyperparams,
+                    seed=header["seed"],
+                    fallback_events=header.get("fallback_events", 0))
+        for count in header["counts"]:
             table.per_count[count] = _read_count(data, count)
             table.converged[count] = bool(
                 header["converged"].get(str(count), False))
         return table
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_header(header: dict) -> None:
+    """ConfigError unless the header fields ``save`` writes are well formed."""
+    missing = [name for name in ("fo_quantum", "seed", "hyperparams",
+                                 "converged", "counts") if name not in header]
+    if missing:
+        raise ConfigError(f"Q-table artifact header lacks {', '.join(missing)}")
+    if not _is_int(header["fo_quantum"]) or header["fo_quantum"] < 1:
+        raise ConfigError("Q-table artifact fo_quantum must be a positive integer")
+    if not _is_int(header["seed"]) or not _is_int(header.get("fallback_events", 0)):
+        raise ConfigError("Q-table artifact seed and fallback_events must be integers")
+    counts = header["counts"]
+    if not isinstance(counts, list) or not all(
+            _is_int(count) and count >= 1 for count in counts):
+        raise ConfigError("Q-table artifact counts must be positive integers")
+    for name in ("hyperparams", "converged"):
+        if not isinstance(header[name], dict):
+            raise ConfigError(f"Q-table artifact {name} must be a JSON object")
 
 
 def _read_count(data, count: int) -> dict:

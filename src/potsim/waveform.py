@@ -32,6 +32,10 @@ DEFAULT_SAMPLE_RATE = 16
 # fixed point where both periodization conditions hold simultaneously.
 _IOTA_PASSES = 4
 
+# Powers of the local coordinate in the single-tap CCI energy polynomial:
+# |cubic|^2 has degree 6.
+_DEGREES = np.arange(7)
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -297,6 +301,11 @@ class CrossAmbiguity:
     evaluation. Results match the direct ``ambiguity`` Riemann sum to spline
     accuracy (integer sample lags are exact).
 
+    For a single channel tap at a total delay in [0, tau0] the CCI energy
+    profile needs no spline evaluation at all: it is one degree-6
+    polynomial per sample interval of the delay and FO difference, built
+    once from the spline's own coefficients (see ``cci_energy_profile``).
+
     The receiver demodulates ``reference_subcarrier`` (n0 = N // 2), so the
     subcarrier offsets run over delta_n in [-n0, N - 1 - n0] and every
     (delta_l, delta_n) block puts the desired symbol at [K - 1, n0].
@@ -340,6 +349,43 @@ class CrossAmbiguity:
         self._spline = CubicSpline(lags, table, axis=0, extrapolate=False)
         self._freqs = freqs
         self._n_sub = n_sub
+        # Row qdiff + Q - 1 holds the N columns of one signed FO difference.
+        qdiffs = np.arange(-(q - 1), q)
+        self._profile_columns = self._column_index(0)[None, :] + qdiffs[:, None]
+        self._single_tap = self._single_tap_kernel(lag_count)
+
+    def _single_tap_kernel(self, lag_count: int) -> np.ndarray:
+        """Polynomial coefficients of the one-tap CCI energy profile.
+
+        A tap at delay x = k / rate + t reads lag delta_l + x, which lies in
+        spline interval (delta_l * rate + k + lag_count) at local coordinate
+        t for every delta_l, because the knot step is 1 / rate. On that
+        interval column j is the cubic sum_m c[m, i, j] t^(3 - m), so
+        sum |S_j|^2 over the in-span intervals and the columns of one FO
+        difference is a degree-6 polynomial in t. Returns its coefficients
+        as (rate, 2Q - 1, 7), entry p multiplying t^p.
+        """
+        c = self._spline.c
+        # Re(c_m conj(c_n)) summed over columns is the dot product of the
+        # real parts plus that of the imaginary parts.
+        parts = np.concatenate((c.real, c.imag), axis=-1)
+        power = np.zeros((7,) + parts.shape[1:])
+        for m in range(4):
+            for n in range(4):
+                power[6 - m - n] += parts[m] * parts[n]
+        profiles = len(self._profile_columns)
+        member = np.zeros((c.shape[2], profiles))
+        member[self._profile_columns, np.arange(profiles)[:, None]] = 1.0
+        per_interval = power @ np.vstack((member, member))
+        # Intervals beyond the span read a zero row appended at the end.
+        intervals = per_interval.shape[1]
+        padded = np.concatenate(
+            (per_interval, np.zeros((7, 1, profiles))), axis=1)
+        rate = self.rx_filter.sample_rate
+        idx = (self.delta_l[None, :] * rate + np.arange(rate)[:, None]
+               + lag_count)
+        idx[(idx < 0) | (idx >= intervals)] = intervals
+        return np.ascontiguousarray(np.moveaxis(padded[:, idx].sum(axis=2), 0, -1))
 
     def _twist(self, lags: np.ndarray) -> np.ndarray:
         return np.exp(-2j * np.pi * np.multiply.outer(lags, self._freqs))
@@ -384,12 +430,28 @@ class CrossAmbiguity:
         return self.convolved_full(realization, rel_delay)[:, self._column_index(qdiff)]
 
     def cci_energy_profile(self, realization, rel_delay: float) -> np.ndarray:
-        """CCI energy for every signed FO difference, indexed qdiff + Q - 1."""
+        """CCI energy for every signed FO difference, indexed qdiff + Q - 1.
+
+        Entry q sums |A|^2 over delta_l in (-K, K) and the N columns of FO
+        difference q. For one tap at total delay x = (rel_delay +
+        tap_delay) / tau0 in [0, 1], which every AWGN pair meets, the twist
+        and the tap phase drop out of |A|^2 and the sum is
+        path_gain * |g|^2 times the precomputed polynomial of x's sample
+        interval; it agrees with the spline route to rounding. Other
+        realizations go through ``convolved_full``.
+        """
+        tau0 = self.lattice.tau0
+        if len(realization.tap_delays) == 1:
+            x = float(realization.tap_delays[0]) / tau0 + rel_delay / tau0
+            if 0.0 <= x <= 1.0:
+                rate = self.rx_filter.sample_rate
+                k = min(int(x * rate), rate - 1)
+                powers = (x - k / rate) ** _DEGREES
+                gain = abs(complex(realization.tap_gains[0])) ** 2
+                return (realization.path_gain * gain) * (self._single_tap[k] @ powers)
         full = self.convolved_full(realization, rel_delay)
         column_power = np.sum(np.abs(full) ** 2, axis=0)
-        qdiffs = np.arange(-(self.fo_quantum - 1), self.fo_quantum)
-        cols = self._column_index(0)[None, :] + qdiffs[:, None]
-        return column_power[cols].sum(axis=1)
+        return column_power[self._profile_columns].sum(axis=1)
 
 
 def filter_factory(family: str, dispersion: float,

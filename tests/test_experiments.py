@@ -327,6 +327,23 @@ def test_cli_run_rejects_a_malformed_artifact(tmp_path, capsys):
     assert "not an npz Q-table artifact" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_an_artifact_header_without_counts(tmp_path, capsys):
+    table = QTable(fo_quantum=8)
+    table.per_count[1] = {(0,): np.zeros(3)}
+    artifact = tmp_path / "policy.npz"
+    table.save(artifact)
+    with np.load(artifact) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+    del header["counts"]
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez_compressed(artifact, **arrays)
+    config = quick_config(train_if_missing=False, qtable_path=str(artifact))
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "lacks counts" in capsys.readouterr().err
+
+
 def test_cli_ambiguity_export(tmp_path):
     out = tmp_path / "surface.csv"
     code = main(["ambiguity", "--filter", "gaussian", "--param", "1.0",

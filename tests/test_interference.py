@@ -2,6 +2,7 @@
 
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -347,28 +348,47 @@ def take_along_axis_capacity(evaluator, state):
     return float(np.log2(1.0 + ratio).sum(axis=1).mean())
 
 
-def random_drop(num_links, rng):
-    """Energy tables with independent random entries in every cell."""
+def random_drop(num_links, rng, floor=0.1):
+    """Energy tables with independent random entries in every cell.
+
+    floor scales E_SI and noise; at zero the denominator has no floor.
+    """
     return types.SimpleNamespace(
         link_ids=list(range(num_links)), fo_quantum=Q,
         cci=rng.exponential(size=(num_links, num_links, 2 * Q - 1)),
         e_signal=rng.exponential(size=num_links),
-        e_self=rng.exponential(0.1, size=num_links),
-        noise=rng.exponential(0.1, size=num_links))
+        e_self=rng.exponential(floor, size=num_links),
+        noise=rng.exponential(floor, size=num_links))
 
 
 @pytest.mark.parametrize("count", [1, 5, 12])
 def test_mean_sum_capacity_is_bit_identical_to_the_gather_oracle(count):
     rng = np.random.default_rng(count)
-    evaluator = EnsembleEvaluator([random_drop(count + 1, rng) for _ in range(3)])
-    # The FO grid wraps: Q - 1 next to 0 reads the extreme columns 0 and 2Q - 2.
-    wrap = [tuple((Q - 1) * (i % 2) for i in range(count)),
-            (0,) * count, (Q - 1,) * count]
-    random_states = [tuple(int(q) for q in rng.integers(0, Q, count))
-                     for _ in range(200)]
-    for state in wrap + random_states:
-        assert (evaluator.mean_sum_capacity(state)
-                == take_along_axis_capacity(evaluator, state))
+    # Without E_SI and noise a query has to guard against a zero denominator.
+    for floor in (0.1, 0.0):
+        evaluator = EnsembleEvaluator([random_drop(count + 1, rng, floor)
+                                       for _ in range(3)])
+        # The FO grid wraps: Q - 1 next to 0 reads the extreme columns 0
+        # and 2Q - 2.
+        wrap = [tuple((Q - 1) * (i % 2) for i in range(count)),
+                (0,) * count, (Q - 1,) * count]
+        random_states = [tuple(int(q) for q in rng.integers(0, Q, count))
+                         for _ in range(200)]
+        for state in wrap + random_states:
+            assert (evaluator.mean_sum_capacity(state)
+                    == take_along_axis_capacity(evaluator, state))
+
+
+def test_zero_noise_and_zero_self_interference_give_infinite_capacity():
+    drop = types.SimpleNamespace(
+        link_ids=[0, 1], fo_quantum=Q, cci=np.zeros((2, 2, 2 * Q - 1)),
+        e_signal=np.ones(2), e_self=np.zeros(2), noise=np.zeros(2))
+    drop.cci[1, 0, Q - 1] = drop.cci[0, 1, Q - 1] = 0.5
+    evaluator = EnsembleEvaluator([drop])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluator.mean_sum_capacity((3,)) == math.inf
+        assert evaluator.mean_sum_capacity((0,)) == pytest.approx(2 * math.log2(3.0))
 
 
 def test_mean_sum_capacity_rejects_states_off_the_grid():

@@ -1,6 +1,7 @@
 """Tabular value updates, greedy decoding, artifacts, and desk-scale optimality."""
 
 import itertools
+import json
 import types
 
 import numpy as np
@@ -268,9 +269,43 @@ def test_a_file_that_is_not_an_npz_artifact_is_a_config_error(tmp_path, kind):
         QTable.load(path)
 
 
-def test_artifact_version_and_format_are_checked(tmp_path):
-    import json
+def with_header(arrays, edit):
+    """``arrays`` with its JSON header replaced by ``edit(header)``."""
+    header = edit(json.loads(bytes(arrays["header"]).decode()))
+    return {**arrays, "header": np.frombuffer(json.dumps(header).encode(),
+                                              dtype=np.uint8)}
 
+
+def without(name):
+    return lambda header: {k: v for k, v in header.items() if k != name}
+
+
+def edited(name, value):
+    return lambda header: {**header, name: value}
+
+
+@pytest.mark.parametrize("edit", [
+    without("counts"), without("fo_quantum"), without("seed"),
+    without("hyperparams"), without("converged"),
+    lambda header: [header],
+    lambda header: {**header, "hyperparams": {**header["hyperparams"], "warp": 1}},
+    edited("hyperparams", {"beta": 5.0}),
+    edited("hyperparams", [0.1]),
+    edited("counts", [1, 2.5]), edited("counts", ["1", "2"]),
+    edited("counts", 2), edited("counts", [True, 2]),
+    edited("fo_quantum", 8.0), edited("seed", "zero"),
+    edited("converged", [True, False]),
+], ids=["no_counts", "no_fo_quantum", "no_seed", "no_hyperparams",
+        "no_converged", "list", "unknown_hyperparam", "bad_hyperparam",
+        "hyperparams_list", "float_count", "string_counts", "scalar_counts",
+        "bool_count", "float_fo_quantum", "string_seed", "converged_list"])
+def test_malformed_artifact_header_is_a_config_error(tmp_path, edit):
+    arrays = with_header(saved_arrays(tmp_path), edit)
+    with pytest.raises(ConfigError):
+        load_tampered(tmp_path, arrays)
+
+
+def test_artifact_version_and_format_are_checked(tmp_path):
     table = QTable(fo_quantum=Q)
     table.per_count[1] = {(0,): np.zeros(3)}
     path = tmp_path / "table.npz"

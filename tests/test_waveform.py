@@ -409,3 +409,78 @@ def test_convolved_full_matches_the_nan_to_num_formula_at_the_span_edge(
         assert np.array_equal(cross.convolved_full(realization, rel_delay),
                               nan_to_num_convolved_full(cross, realization,
                                                         rel_delay))
+
+
+def spline_cci_profile(cross, realization, rel_delay):
+    """CCI energy profile summed from ``convolved_full``: the kernel's oracle."""
+    full = cross.convolved_full(realization, rel_delay)
+    column_power = np.sum(np.abs(full) ** 2, axis=0)
+    qdiffs = np.arange(-(cross.fo_quantum - 1), cross.fo_quantum)
+    cols = cross._column_index(0)[None, :] + qdiffs[:, None]
+    return column_power[cols].sum(axis=1)
+
+
+@pytest.fixture(scope="module", params=["gaussian", "rrc", "iota"])
+def cross_family(request, lattice):
+    pulse = filter_factory(request.param, 0.2)
+    return CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
+
+
+def count_general_path_calls(monkeypatch, cross):
+    calls = []
+    original = cross.convolved_full
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cross, "convolved_full", spy)
+    return calls
+
+
+def test_single_tap_profile_matches_the_spline_oracle(cross_family, monkeypatch):
+    tau0 = cross_family.lattice.tau0
+    realization = potsim.ChannelRealization(
+        link_id=(1, 0), path_gain=0.37, tap_delays=(0.0,),
+        tap_gains=(0.6 - 0.9j,))
+    rate = cross_family.rx_filter.sample_rate
+    delays = np.concatenate((
+        [0.0], np.arange(rate + 1) / rate,
+        np.random.default_rng(7).random(200), [1.0 - 1e-15]))
+    profiles = {}
+    calls = count_general_path_calls(monkeypatch, cross_family)
+    for x in delays:
+        profiles[x] = cross_family.cci_energy_profile(realization, x * tau0)
+    # Every one of these delays is served by the polynomial kernel.
+    assert calls == []
+    monkeypatch.undo()
+    for x, profile in profiles.items():
+        oracle = spline_cci_profile(cross_family, realization, x * tau0)
+        assert np.all(oracle > 0)
+        assert np.max(np.abs(profile - oracle) / oracle) <= 1e-12, x
+
+
+def test_multi_tap_profile_is_the_spline_route(cross_family):
+    tau0 = cross_family.lattice.tau0
+    for seed, x in ((3, 0.0), (4, 0.42), (5, 0.97)):
+        realization = epa_realization(seed)
+        assert np.array_equal(
+            cross_family.cci_energy_profile(realization, x * tau0),
+            spline_cci_profile(cross_family, realization, x * tau0))
+
+
+@pytest.mark.parametrize("tap_delay,rel_delay", [(0.0, -0.25), (0.3, 0.9),
+                                                 (0.0, 1.5)])
+def test_single_tap_beyond_one_symbol_takes_the_spline_route(
+        cross_gaussian, monkeypatch, tap_delay, rel_delay):
+    # Delays outside [0, tau0] would extrapolate the kernel's polynomials.
+    tau0 = cross_gaussian.lattice.tau0
+    realization = potsim.ChannelRealization(
+        link_id=(1, 0), path_gain=2.0, tap_delays=(tap_delay * tau0,),
+        tap_gains=(0.5 + 0.5j,))
+    calls = count_general_path_calls(monkeypatch, cross_gaussian)
+    profile = cross_gaussian.cci_energy_profile(realization, rel_delay * tau0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(profile, spline_cci_profile(cross_gaussian, realization,
+                                                      rel_delay * tau0))
