@@ -8,11 +8,13 @@ keyed by (seed, grid index, drop index) alone, so every filter and overlap
 mode sees identical drops and reruns are byte-identical.
 """
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -328,7 +330,14 @@ def load_or_train_policy(config: ExperimentConfig, out_dir: Path):
 
 
 def _sweep(config: ExperimentConfig, policy) -> list:
-    """All CSV rows for a sweep experiment, in deterministic order."""
+    """All CSV rows for a sweep experiment, in deterministic order.
+
+    Each aggressor count is decoded from ``policy`` at most once, when an
+    entrant first consults it; a count that fails to decode raises again at
+    every entry that consults it.
+    """
+    if policy is not None:
+        policy = SimpleNamespace(fo_assignment=functools.cache(policy.fo_assignment))
     metric = EXPERIMENT_METRICS[config.experiment]
     if config.experiment == CAPACITY_VS_SNR:
         grid = config.snr_grid
@@ -445,9 +454,12 @@ def _surface_outputs(config: ExperimentConfig, out_dir: Path) -> dict:
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment and persist results.csv plus summary.json.
 
-    Returns the summary dict; the summary's ``trained_now`` and
-    ``qtable_converged`` fields let callers distinguish a clean run from one
-    that had to train a policy that did not converge.
+    Returns the summary dict; its ``qtable.trained_now`` and
+    ``qtable.not_converged_counts`` fields let callers distinguish a clean
+    run from one that had to train a policy that did not converge. The run
+    decodes each aggressor count once, so
+    ``qtable.fallback_events_during_run`` counts the nearest-state
+    fallbacks of those decodes, not of every entry.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -103,6 +103,11 @@ class QTable:
     no-op, index 2j + 1 steps link j up by one FO quantum, index 2j + 2 steps
     it down. fallback_events counts greedy lookups that had to borrow the
     nearest trained state.
+
+    A table read back by ``load`` holds only the rows its decode reads (see
+    ``save``): it answers ``fo_assignment`` exactly as the trained table
+    does, but ``greedy`` on a state outside those rows borrows from that
+    smaller set, so it may pick another action than the trained table would.
     """
 
     fo_quantum: int
@@ -143,9 +148,13 @@ class QTable:
         state = tuple(int(q) % self.fo_quantum for q in state)
         if state not in sub:
             self.fallback_events += 1
-            state = min(sorted(sub),
-                        key=lambda cand: _circular_l1(cand, state, self.fo_quantum))
+            state = self._nearest_trained(sub, state)
         return int(np.argmax(sub[state]))
+
+    def _nearest_trained(self, sub: dict, state: tuple) -> tuple:
+        """The first state of ``sorted(sub)`` circularly nearest ``state``."""
+        return min(sorted(sub),
+                   key=lambda cand: _circular_l1(cand, state, self.fo_quantum))
 
     def fo_assignment(self, count: int) -> tuple:
         """Decode the trained table into an FO prescription for S aggressors.
@@ -164,18 +173,9 @@ class QTable:
         if count not in self.per_count or not self.per_count[count]:
             raise KeyError(count)
         sub = self.per_count[count]
-        state = (0,) * count
-        visited = [state]
-        seen = {state}
-        for _ in range(2 * count * self.fo_quantum):
-            action = self.greedy(count, state)
-            if action == 0:
-                return state
-            state = self.action_effect(state, action)
-            if state in seen:
-                break
-            seen.add(state)
-            visited.append(state)
+        visited, absorbed = self._rollout(count)
+        if absorbed is not None:
+            return absorbed
 
         def improvement_left(cand):
             # Untrained states carry no evidence; rank them after any
@@ -186,11 +186,54 @@ class QTable:
 
         return min(visited, key=improvement_left)
 
+    def _rollout(self, count: int, rows: set = None):
+        """The greedy walk ``fo_assignment`` decodes: (visited states in
+        order, the absorbing state or None when the walk cycles or runs out
+        of steps).
+
+        When ``rows`` is a set, it receives every state whose value vector
+        the decode reads: each trained visited state, and the trained state
+        ``greedy`` borrows for each untrained state it is asked about.
+        """
+        sub = self.per_count[count]
+        state = (0,) * count
+        visited = [state]
+        seen = {state}
+        absorbed = None
+        for _ in range(2 * count * self.fo_quantum):
+            action = self.greedy(count, state)
+            if rows is not None and state not in sub:
+                rows.add(self._nearest_trained(sub, state))
+            if action == 0:
+                absorbed = state
+                break
+            state = self.action_effect(state, action)
+            if state in seen:
+                break
+            seen.add(state)
+            visited.append(state)
+        if rows is not None:
+            rows.update(cand for cand in visited if cand in sub)
+        return visited, absorbed
+
     @property
     def trained_counts(self) -> tuple:
         return tuple(sorted(self.per_count))
 
     def save(self, path) -> None:
+        """Write, per count, only the rows ``fo_assignment`` reads.
+
+        Those are the trained states of the greedy walk from the all-zero
+        state, plus the trained state ``greedy`` borrows for each untrained
+        state of the walk (see ``_rollout``). The loaded table therefore
+        decodes every count to the same prescription, with the same
+        fallbacks. ``fallback_events`` is left as it was.
+        """
+        fallback_events = self.fallback_events
+        try:
+            rows = {count: self._decode_rows(count) for count in self.per_count}
+        finally:
+            self.fallback_events = fallback_events
         header = {
             "format": ARTIFACT_FORMAT,
             "version": ARTIFACT_VERSION,
@@ -202,12 +245,22 @@ class QTable:
             "fallback_events": self.fallback_events,
         }
         arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-        for count, sub in self.per_count.items():
-            states = sorted(sub)
+        for count, states in rows.items():
+            sub = self.per_count[count]
             arrays[f"states_{count}"] = np.array(states, dtype=np.int64).reshape(
                 len(states), count)
-            arrays[f"values_{count}"] = np.stack([sub[s] for s in states])
+            arrays[f"values_{count}"] = np.array(
+                [sub[s] for s in states], dtype=float).reshape(
+                    len(states), self.num_actions(count))
         np.savez_compressed(path, **arrays)
+
+    def _decode_rows(self, count: int) -> list:
+        """Sorted states whose value vectors ``fo_assignment(count)`` reads."""
+        if not self.per_count[count]:
+            return []
+        rows = set()
+        self._rollout(count, rows)
+        return sorted(rows)
 
     @classmethod
     def load(cls, path) -> "QTable":

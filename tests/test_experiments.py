@@ -243,6 +243,21 @@ def test_surface_experiment_writes_one_csv_per_filter(tmp_path):
     assert len(header_cells) == 1 + 21
 
 
+def test_a_run_decodes_each_aggressor_count_at_most_once(tmp_path, monkeypatch):
+    calls = []
+    decode = QTable.fo_assignment
+
+    def spy(table, count):
+        calls.append(count)
+        return decode(table, count)
+
+    monkeypatch.setattr(QTable, "fo_assignment", spy)
+    run(quick_config(aggressor_grid=(2, 5)), tmp_path)
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= set(range(1, 6))
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -271,6 +286,19 @@ def test_cli_reports_missing_artifacts(tmp_path):
     config = quick_config(train_if_missing=False)
     path = write_config(tmp_path, config)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_cli_run_with_an_artifact_missing_a_consulted_count_exits_3(
+        tmp_path, capsys):
+    table = QTable(fo_quantum=8)
+    table.per_count[1] = {(0,): np.array([1.0, 0.0, 0.0])}
+    artifact = tmp_path / "policy.npz"
+    table.save(artifact)
+    config = quick_config(aggressor_grid=(2,), train_if_missing=False,
+                          qtable_path=str(artifact))
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "no table for aggressor count 2" in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):

@@ -178,32 +178,123 @@ def test_decode_requires_a_trained_count():
         table.fo_assignment(0)
 
 
-def test_artifact_round_trips_exactly(tmp_path):
+class ReadRecorder(dict):
+    """A per-count table that records the states whose values are read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, state):
+        self.read.add(state)
+        return super().__getitem__(state)
+
+
+def decode_reads(table, count):
+    """States whose value vectors ``table.fo_assignment(count)`` reads."""
+    probe = QTable(fo_quantum=table.fo_quantum)
+    probe.per_count[count] = ReadRecorder(table.per_count[count])
+    probe.fo_assignment(count)
+    return probe.per_count[count].read
+
+
+def walk_table():
+    """Count 1 absorbs at (3,) after three steps up, with rows off the walk;
+    count 2 steps from (0, 0) onto untrained states and borrows rows."""
     table = QTable(fo_quantum=Q, hyperparams=Hyperparams(beta=0.25, episodes=7),
-                   seed=99)
-    table.per_count[1] = {(q,): np.arange(3, dtype=float) + q for q in range(Q)}
-    table.per_count[2] = {(1, 5): np.ones(5), (0, 0): np.zeros(5)}
+                   seed=99, fallback_events=5)
+    table.per_count[1] = {(q,): (np.array([0.0, 1.0, -1.0]) if q < 3
+                                 else np.array([1.0, 0.0, 0.0])) + 0.1 * q
+                          for q in range(Q)}
+    table.per_count[2] = {(0, 0): np.array([0.0, 2.0, 0.0, 1.0, 0.0]),
+                          (1, 5): np.ones(5), (6, 6): np.arange(5.0)}
     table.converged = {1: True, 2: False}
+    return table
+
+
+def test_artifact_round_trips_exactly(tmp_path):
+    """The artifact stores exactly the rows the decode reads, bit for bit,
+    so every count decodes the same; it is not a dump of every Q-value."""
+    table = walk_table()
     path = tmp_path / "table.npz"
     table.save(path)
+    assert table.fallback_events == 5
     loaded = QTable.load(path)
     assert loaded.fo_quantum == Q
     assert loaded.seed == 99
     assert loaded.hyperparams == table.hyperparams
     assert loaded.converged == {1: True, 2: False}
     assert loaded.trained_counts == (1, 2)
-    for count, sub in table.per_count.items():
+    assert loaded.fallback_events == 5
+    for count, sub in loaded.per_count.items():
+        assert set(sub) == decode_reads(table, count)
         for state, values in sub.items():
-            assert np.array_equal(loaded.per_count[count][state], values)
-        for state in loaded.per_count[count]:
             assert type(state) is tuple
             assert all(type(q) is int for q in state)
-    # Keys hash like the tuples training builds, so lookups need no fallback.
-    for state in table.per_count[1]:
-        assert loaded.greedy(1, state) == table.greedy(1, state)
+            assert values.dtype == table.per_count[count][state].dtype
+            assert np.array_equal(values, table.per_count[count][state])
+    assert set(loaded.per_count[1]) == {(0,), (1,), (2,), (3,)}
     for count in (1, 2):
+        before = (table.fallback_events, loaded.fallback_events)
         assert loaded.fo_assignment(count) == table.fo_assignment(count)
-    assert loaded.fallback_events == 0
+        assert (loaded.fallback_events - before[1]
+                == table.fallback_events - before[0])
+
+
+def test_artifact_stores_the_row_greedy_borrows_for_an_untrained_state(tmp_path):
+    table = QTable(fo_quantum=Q)
+    # (0,) steps up onto untrained (1,), which borrows (0,) and steps up onto
+    # untrained (2,), which borrows (3,): a no-op, so the walk absorbs at
+    # (2,). (3,) is read but never visited; (6,) is never read.
+    table.per_count[1] = {(0,): np.array([0.0, 1.0, 0.0]),
+                          (3,): np.array([1.0, 0.0, 0.0]),
+                          (6,): np.array([0.0, 0.0, 1.0])}
+    assert table.fo_assignment(1) == (2,)
+    assert table.fallback_events == 2
+    path = tmp_path / "table.npz"
+    table.save(path)
+    assert table.fallback_events == 2
+    loaded = QTable.load(path)
+    assert set(loaded.per_count[1]) == {(0,), (3,)}
+    assert loaded.fo_assignment(1) == (2,)
+    assert loaded.fallback_events == 2 + 2
+
+
+def test_full_artifact_in_the_earlier_layout_still_loads(tmp_path):
+    """Artifacts that store every row (the layout before the decode rows)
+    keep loading, and decode the same."""
+    table = walk_table()
+    path = tmp_path / "table.npz"
+    table.save(path)
+    with np.load(path) as data:
+        arrays = {"header": data["header"]}
+    for count, sub in table.per_count.items():
+        states = sorted(sub)
+        arrays[f"states_{count}"] = np.array(states, dtype=np.int64)
+        arrays[f"values_{count}"] = np.stack([sub[s] for s in states])
+    full = tmp_path / "full.npz"
+    np.savez_compressed(full, **arrays)
+    loaded = QTable.load(full)
+    for count, sub in table.per_count.items():
+        assert set(loaded.per_count[count]) == set(sub)
+        for state, values in sub.items():
+            assert np.array_equal(loaded.per_count[count][state], values)
+        assert loaded.fo_assignment(count) == table.fo_assignment(count)
+
+
+def test_trained_table_round_trips_every_prescription(tmp_path):
+    config = ExperimentConfig(experiment="capacity_vs_aggressors")
+    pulse = potsim.filter_factory("gaussian", 0.2)
+    cross = CrossAmbiguity(pulse, pulse, config.lattice, fo_quantum=Q)
+    hp = Hyperparams(episodes=30, ensemble=2, beta=1.0, epsilon_end=0.3)
+    table = train(scenario_family(config, cross), 6, hp, rng_seed=4)
+    path = tmp_path / "table.npz"
+    table.save(path)
+    loaded = QTable.load(path)
+    for count in range(1, 7):
+        assert loaded.fo_assignment(count) == table.fo_assignment(count)
+        assert set(loaded.per_count[count]) == decode_reads(table, count)
+        assert len(loaded.per_count[count]) < len(table.per_count[count])
 
 
 def saved_arrays(tmp_path):
