@@ -13,7 +13,6 @@ rotation a delayed waveform physically picks up.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DegenerateFilterError, ParameterError
 
@@ -119,10 +118,123 @@ class PrototypeFilter:
         sample shifts and treats the pulse as zero outside its span.
         """
         shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-        spline = CubicSpline(self.time_grid, self.samples, extrapolate=False)
+        spline = _NotAKnotSpline(self.time_grid, self.samples)
         points = self.time_grid[None, :] - shifts[:, None]
         values = spline(points)
         return np.nan_to_num(values, copy=False)
+
+
+class _NotAKnotSpline:
+    """Cubic spline through (x, y) along axis 0 with not-a-knot ends.
+
+    Reproduces scipy.interpolate.CubicSpline(x, y, axis=0,
+    extrapolate=False) to the last bit: the same banded system, solved in
+    LAPACK gtsv's order, the same Hermite coefficients and the same
+    evaluation. ``c`` has scipy's layout (4, n - 1, ...): c[m, i]
+    multiplies (x - x[i])^(3 - m) on interval i. Points outside [x[0],
+    x[-1]] evaluate to NaN; the last knot belongs to the last interval.
+    Knots that would make gtsv interchange rows are rejected; uniform knots
+    never do.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y)
+        y = y.astype(complex if np.iscomplexobj(y) else float, copy=False)
+        n = len(x)
+        if x.ndim != 1 or n < 4 or y.shape[0] != n:
+            raise ConfigError("a spline needs at least 4 knots, one per row of y")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ConfigError("spline knots must be strictly increasing")
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        # The knot derivatives s solve a tridiagonal system. Interior rows:
+        # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = b[i];
+        # the end rows make the third derivative continuous at x[1] and
+        # x[n-2] (not-a-knot). s holds b until it is solved in place.
+        s = np.empty(y.shape, dtype=y.dtype)
+        s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        d = x[2] - x[0]
+        s[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        s[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        lower = dx[1:].tolist() + [float(x[-1] - x[-3])]
+        diag = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
+        upper = [float(x[2] - x[0])] + dx[:-1].tolist()
+        if y.ndim == 1:
+            # One right-hand side: Python floats round as LAPACK does, without
+            # numpy's per-call overhead on every row.
+            s = np.array(_solve_tridiagonal(lower, diag, upper, s.tolist()))
+        else:
+            # Row by row in place. Complex rows go through their real view,
+            # each component divided by the real pivot, as zgtsv does for a
+            # real matrix.
+            _solve_tridiagonal(lower, diag, upper, list(_real_view(s.reshape(n, -1))))
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+        self.x = x
+        self._parts = _real_view(self.c.reshape(4, n - 1, -1))
+
+    def __call__(self, points) -> np.ndarray:
+        """Values at ``points``, shape points.shape + y.shape[1:]."""
+        points = np.asarray(points, dtype=float)
+        flat = points.reshape(-1)
+        x = self.x
+        shape = points.shape + self.c.shape[2:]
+        if flat.size and x[0] <= flat.min() <= flat.max() <= x[-1]:
+            return self._in_span(flat).reshape(shape)
+        inside = (flat >= x[0]) & (flat <= x[-1])
+        values = np.full((flat.size,) + self.c.shape[2:], np.nan, dtype=self.c.dtype)
+        values[inside] = self._in_span(flat[inside]).reshape((-1,) + self.c.shape[2:])
+        return values.reshape(shape)
+
+    def _in_span(self, flat: np.ndarray) -> np.ndarray:
+        """Values at points in [x[0], x[-1]], one row per point."""
+        x = self.x
+        # The last knot belongs to the last interval.
+        interval = np.searchsorted(x, flat, side="right") - 1
+        np.minimum(interval, len(x) - 2, out=interval)
+        t = (flat - x[interval])[:, None]
+        t2 = t * t
+        # c3 + c2 t + c1 t^2 + c0 t^3, summed left to right as PPoly does,
+        # from one gather per coefficient.
+        c0, c1, values, c3 = (part.take(interval, axis=0) for part in self._parts)
+        values *= t
+        values += c3
+        c1 *= t2
+        values += c1
+        c0 *= t2 * t
+        values += c0
+        return values.view(self.c.dtype)
+
+
+def _real_view(array: np.ndarray) -> np.ndarray:
+    """A contiguous complex array as (real, imag) pairs of floats; real passes."""
+    return array.view(float) if np.iscomplexobj(array) else array
+
+
+def _solve_tridiagonal(lower, diag, upper, rows):
+    """Solve a tridiagonal system in LAPACK gtsv's order, in place.
+
+    ``lower``, ``diag`` and ``upper`` are lists of floats (lower[k] sits in
+    row k + 1, upper[k] in row k); ``rows`` is a list of right-hand side
+    rows, floats or array views that are updated in place. Returns
+    ``rows``. Raises ConfigError where gtsv would interchange rows.
+    """
+    n = len(rows)
+    diag = list(diag)
+    for k in range(n - 1):
+        if abs(diag[k]) < abs(lower[k]):
+            raise ConfigError("spline knots would need a row interchange")
+        mult = lower[k] / diag[k]
+        diag[k + 1] -= mult * upper[k]
+        rows[k + 1] -= mult * rows[k]
+    rows[-1] /= diag[-1]
+    for k in range(n - 2, -1, -1):
+        rows[k] -= upper[k] * rows[k + 1]
+        rows[k] /= diag[k]
+    return rows
 
 
 def _sample_count(span: float, sample_rate: int) -> int:
@@ -299,7 +411,9 @@ class CrossAmbiguity:
     lag grid for every frequency offset of the quantized FO grid, then
     answers arbitrary fractional-delay queries through one cubic spline
     evaluation. Results match the direct ``ambiguity`` Riemann sum to spline
-    accuracy (integer sample lags are exact).
+    accuracy (integer sample lags are exact). The spline is the module's
+    numpy not-a-knot spline, whose coefficients equal those of
+    scipy.interpolate.CubicSpline bit for bit; scipy is not imported.
 
     For a single channel tap at a total delay in [0, tau0] the CCI energy
     profile needs no spline evaluation at all: it is one degree-6
@@ -346,7 +460,7 @@ class CrossAmbiguity:
         # delay-anchored phase exp(-2j pi f lag) is restored analytically
         # after every lookup, where it is exact at any fractional lag.
         table = (products / rate) @ phases
-        self._spline = CubicSpline(lags, table, axis=0, extrapolate=False)
+        self._spline = _NotAKnotSpline(lags, table)
         self._freqs = freqs
         self._n_sub = n_sub
         # Row qdiff + Q - 1 holds the N columns of one signed FO difference.
@@ -360,7 +474,8 @@ class CrossAmbiguity:
         A tap at delay x = k / rate + t reads lag delta_l + x, which lies in
         spline interval (delta_l * rate + k + lag_count) at local coordinate
         t for every delta_l, because the knot step is 1 / rate. On that
-        interval column j is the cubic sum_m c[m, i, j] t^(3 - m), so
+        interval column j is the cubic sum_m c[m, i, j] t^(3 - m), with c
+        the lag-table spline's coefficients in scipy's PPoly layout, so
         sum |S_j|^2 over the in-span intervals and the columns of one FO
         difference is a degree-6 polynomial in t. Returns its coefficients
         as (rate, 2Q - 1, 7), entry p multiplying t^p.

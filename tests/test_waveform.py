@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 import potsim
 from potsim import (
@@ -25,7 +26,7 @@ from potsim import (
     make_iota,
     make_rrc,
 )
-from potsim.waveform import rrc_time_response
+from potsim.waveform import _NotAKnotSpline, rrc_time_response
 
 
 def gaussian_ambiguity_magnitude(rho, lam, phi):
@@ -484,3 +485,134 @@ def test_single_tap_beyond_one_symbol_takes_the_spline_route(
     monkeypatch.undo()
     assert np.array_equal(profile, spline_cci_profile(cross_gaussian, realization,
                                                       rel_delay * tau0))
+
+
+# ---------------------------------------------------------------------------
+# not-a-knot spline
+#
+# scipy's CubicSpline is the oracle. The numpy spline follows its arithmetic
+# step for step, so with scipy 1.17.1 and numpy 2.4.6 every coefficient and
+# value is array_equal; the bound leaves room for other builds' rounding.
+
+SPLINE_RTOL = 1e-13
+
+
+def assert_close_to_oracle(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.array_equal(np.isnan(actual), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    scale = np.max(np.abs(expected[finite]))
+    assert np.max(np.abs(actual[finite] - expected[finite]), initial=0.0) <= SPLINE_RTOL * scale
+
+
+def lag_table_knots(cross):
+    """The knots and samples of a CrossAmbiguity's lag-table spline.
+
+    c[3] holds the samples of every knot but the last. The last lag, like
+    the first, is one whole span away, where the pulses share no sample.
+    """
+    spline = cross._spline
+    first = spline.c[3][0]
+    assert np.array_equal(first, np.zeros_like(first))
+    return spline.x, np.concatenate((spline.c[3], first[None, :]))
+
+
+def oracle_points(x, rng):
+    inside = rng.uniform(x[0], x[-1], 5000)
+    outside = [x[0] - 1e-12, x[-1] + 1e-12, x[0] - 3.0, x[-1] + 3.0, np.nan]
+    return np.concatenate((x, inside, outside))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rrc", "iota"])
+def test_spline_matches_the_scipy_oracle(family, lattice):
+    pulse = filter_factory(family, 0.2)
+    cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
+    rng = np.random.default_rng(11)
+    cases = ((pulse.time_grid, pulse.samples,
+              _NotAKnotSpline(pulse.time_grid, pulse.samples)),
+             (*lag_table_knots(cross), cross._spline))
+    for x, y, spline in cases:
+        oracle = CubicSpline(x, y, axis=0, extrapolate=False)
+        assert_close_to_oracle(spline.c, oracle.c)
+        points = oracle_points(x, rng)
+        values = spline(points)
+        assert_close_to_oracle(values, oracle(points))
+        # Points outside the knots read NaN, the last knot included in span.
+        assert np.isnan(values[-5:]).all(axis=tuple(range(1, values.ndim))).all()
+        assert not np.isnan(values[:-5]).any()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rrc", "iota"])
+def test_resample_shifted_matches_the_scipy_oracle_with_zeros_outside(family):
+    pulse = filter_factory(family, 0.2)
+    oracle = CubicSpline(pulse.time_grid, pulse.samples, extrapolate=False)
+    shifts = np.concatenate((np.random.default_rng(5).uniform(-7.0, 7.0, 40),
+                             [0.0, 1.0 / 3.0, -2.5, pulse.span, -pulse.span - 0.5]))
+    points = pulse.time_grid[None, :] - shifts[:, None]
+    resampled = pulse.resample_shifted(shifts)
+    assert_close_to_oracle(resampled, np.nan_to_num(oracle(points)))
+    outside = (points < pulse.time_grid[0]) | (points > pulse.time_grid[-1])
+    assert outside.any() and np.all(resampled[outside] == 0.0)
+
+
+def uneven_knots(rng, n=40):
+    # Steps in [1, 1.5] never make gtsv interchange rows.
+    return np.cumsum(rng.uniform(1.0, 1.5, n))
+
+
+def test_spline_matches_the_scipy_oracle_on_uneven_knots():
+    rng = np.random.default_rng(2)
+    x = uneven_knots(rng)
+    y = rng.normal(size=(len(x), 2, 3)) + 1j * rng.normal(size=(len(x), 2, 3))
+    oracle = CubicSpline(x, y, axis=0, extrapolate=False)
+    spline = _NotAKnotSpline(x, y)
+    assert_close_to_oracle(spline.c, oracle.c)
+    points = oracle_points(x, rng).reshape(-1, 5)
+    assert_close_to_oracle(spline(points), oracle(points))
+
+
+def test_spline_reproduces_the_samples_at_interior_knots():
+    rng = np.random.default_rng(3)
+    x = uneven_knots(rng)
+    for y in (rng.normal(size=len(x)),
+              rng.normal(size=(len(x), 3)) + 1j * rng.normal(size=(len(x), 3))):
+        spline = _NotAKnotSpline(x, y)
+        assert np.array_equal(spline(x[1:-1]), y[1:-1])
+        assert np.allclose(spline(x[-1:]), y[-1:], rtol=1e-12, atol=1e-12)
+
+
+def test_spline_evaluates_in_ppoly_order():
+    # scipy's PPoly sums c3 + c2 t + c1 t^2 + c0 t^3 left to right, with
+    # t^2 = t t and t^3 = t^2 t; any other order changes last bits.
+    rng = np.random.default_rng(6)
+    x = uneven_knots(rng)
+    spline = _NotAKnotSpline(x, rng.normal(size=len(x)))
+    points = rng.uniform(x[0], x[-1], 300)
+    expected = []
+    for p in points.tolist():
+        i = min(int(np.searchsorted(x, p, side="right")) - 1, len(x) - 2)
+        c0, c1, c2, c3 = spline.c[:, i].tolist()
+        t = p - float(x[i])
+        expected.append(c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t))
+    assert np.array_equal(spline(points), expected)
+
+
+def test_spline_third_derivative_is_continuous_at_the_second_and_penultimate_knots():
+    rng = np.random.default_rng(4)
+    x = uneven_knots(rng)
+    y = rng.normal(size=(len(x), 2)) + 1j * rng.normal(size=(len(x), 2))
+    # On interval i the third derivative is 6 c[0, i].
+    c = _NotAKnotSpline(x, y).c
+    scale = np.max(np.abs(c[0]))
+    assert np.max(np.abs(c[0, 0] - c[0, 1])) <= 1e-12 * scale
+    assert np.max(np.abs(c[0, -2] - c[0, -1])) <= 1e-12 * scale
+    # The not-a-knot ends are what make these equal: elsewhere they differ.
+    assert np.min(np.abs(c[0, 1] - c[0, 2])) > 1e-6 * scale
+
+
+def test_spline_knots_that_need_a_row_interchange_are_rejected():
+    # The second pivot is dx[0] + dx[1] = 2, below the step dx[2] = 8 it
+    # would eliminate.
+    x = np.array([0.0, 1.0, 2.0, 10.0, 11.0])
+    with pytest.raises(ConfigError, match="row interchange"):
+        _NotAKnotSpline(x, np.sin(x))
