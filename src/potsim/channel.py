@@ -6,6 +6,7 @@ delay line with independent Rayleigh tap gains, drawn once per drop.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ParameterError(f"unknown channel kind {self.kind!r}")
+        # Stored as nested tuples so the tap arrays can be cached per profile.
+        object.__setattr__(self, "taps", tuple(map(tuple, self.taps)))
         if self.carrier_freq <= 0:
             raise ParameterError("carrier frequency must be positive")
         total = sum(power for _, power in self.taps)
@@ -98,6 +101,24 @@ def _as_generator(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+_UNIT_GAIN = np.ones(1, dtype=complex)
+_UNIT_GAIN.setflags(write=False)
+
+
+@lru_cache(maxsize=8)
+def _tap_arrays(taps: tuple) -> tuple:
+    """Read-only (delays, powers) arrays of a tap profile, built once per profile.
+
+    Every realization of a model shares them, which is safe because no one
+    can write to them.
+    """
+    delays = np.array([delay for delay, _ in taps])
+    powers = np.array([power for _, power in taps])
+    delays.setflags(write=False)
+    powers.setflags(write=False)
+    return delays, powers
+
+
 def realize_channel(model: ChannelModel, distance: float, rng,
                     link_id: tuple = (0, 0)) -> ChannelRealization:
     """Draw tap gains for one pair at the given distance.
@@ -108,15 +129,13 @@ def realize_channel(model: ChannelModel, distance: float, rng,
     """
     generator = _as_generator(rng)
     path_gain = free_space_path_loss(distance, model.carrier_freq)
-    delays = np.array([delay for delay, _ in model.taps])
-    powers = np.array([power for _, power in model.taps])
+    delays, powers = _tap_arrays(model.taps)
     if model.kind == AWGN:
-        gains = np.ones(1, dtype=complex)
+        gains = _UNIT_GAIN
     else:
         raw = generator.standard_normal(len(powers)) + 1j * generator.standard_normal(len(powers))
         gains = np.sqrt(powers / 2.0) * raw
-    delays.setflags(write=False)
-    gains.setflags(write=False)
+        gains.setflags(write=False)
     return ChannelRealization(link_id=tuple(link_id), path_gain=float(path_gain),
                               tap_delays=delays, tap_gains=gains)
 

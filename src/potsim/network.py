@@ -82,13 +82,18 @@ class NetworkScenario:
 def sample_point_near(center, max_range: float, area_side: float,
                       rng: np.random.Generator) -> tuple:
     """Point uniform in the disk around ``center``, resampled into the area."""
-    center = np.asarray(center, dtype=float)
+    # Python floats round each operation as numpy's float64 does (math.sqrt
+    # is correctly rounded, like np.sqrt) without numpy's per-call overhead;
+    # the cosine and sine stay numpy's so the point is the same to the bit.
+    cx, cy = (float(c) for c in center)
+    max_range = float(max_range)
     while True:
-        radius = max_range * np.sqrt(rng.uniform())
+        radius = max_range * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * np.pi)
-        point = center + radius * np.array([np.cos(angle), np.sin(angle)])
-        if 0 <= point[0] <= area_side and 0 <= point[1] <= area_side:
-            return (float(point[0]), float(point[1]))
+        x = cx + radius * float(np.cos(angle))
+        y = cy + radius * float(np.sin(angle))
+        if 0 <= x <= area_side and 0 <= y <= area_side:
+            return (x, y)
 
 
 def generate_scenario(num_links: int, area_side: float, max_link_range: float,

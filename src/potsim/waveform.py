@@ -376,6 +376,18 @@ def _orthogonalize(values: np.ndarray, period: int) -> np.ndarray:
     return values / np.sqrt(np.tile(profile, len(values) // period))
 
 
+def _check_common_grid(tx_filter: PrototypeFilter, rx_filter: PrototypeFilter):
+    """Reject a pulse pair whose sample grids differ.
+
+    The inner products multiply the shifted transmit pulse, sampled on its
+    own grid, sample by sample with the receive pulse, so both grids must
+    have the same rate and the same number of samples.
+    """
+    if (tx_filter.sample_rate != rx_filter.sample_rate
+            or len(tx_filter.samples) != len(rx_filter.samples)):
+        raise ConfigError("filters must share a sample grid (rate and span)")
+
+
 def ambiguity(tx_filter: PrototypeFilter, rx_filter: PrototypeFilter,
               lattice: LatticeConfig, delta_l: int = 0, delta_n: int = 0,
               delta_f: float = 0.0, delta_t: float = 0.0) -> complex:
@@ -385,8 +397,7 @@ def ambiguity(tx_filter: PrototypeFilter, rx_filter: PrototypeFilter,
     shifted up in frequency by delta_n * nu0 + delta_f hertz, then projected
     onto the receive pulse. Matched filters at zero offset give exactly 1.
     """
-    if tx_filter.sample_rate != rx_filter.sample_rate:
-        raise ConfigError("filters must share a sample rate")
+    _check_common_grid(tx_filter, rx_filter)
     n_sub = lattice.num_subcarriers
     if abs(delta_f) >= n_sub * lattice.nu0:
         raise ParameterError("delta_f must stay below the channel bandwidth")
@@ -427,8 +438,7 @@ class CrossAmbiguity:
 
     def __init__(self, tx_filter: PrototypeFilter, rx_filter: PrototypeFilter,
                  lattice: LatticeConfig, fo_quantum: int = 8):
-        if tx_filter.sample_rate != rx_filter.sample_rate:
-            raise ConfigError("filters must share a sample rate")
+        _check_common_grid(tx_filter, rx_filter)
         if fo_quantum < 1:
             raise ParameterError("fo_quantum must be at least 1")
         self.tx_filter = tx_filter
@@ -467,6 +477,8 @@ class CrossAmbiguity:
         qdiffs = np.arange(-(q - 1), q)
         self._profile_columns = self._column_index(0)[None, :] + qdiffs[:, None]
         self._single_tap = self._single_tap_kernel(lag_count)
+        # Twisted values at rel_delay 0, keyed by tuple(tap_delays).
+        self._own_values = {}
 
     def _single_tap_kernel(self, lag_count: int) -> np.ndarray:
         """Polynomial coefficients of the one-tap CCI energy profile.
@@ -522,9 +534,34 @@ class CrossAmbiguity:
         Sums tap_gain * A(dl, ., rel_delay + tap_delay) over the taps of
         ``realization`` and scales by the root path gain; rel_delay is in
         seconds. One spline evaluation serves every FO difference.
+
+        A link's own channel is read at rel_delay 0, where the twisted
+        lag-table values depend only on the tap delays, which the channel
+        model fixes. They are computed once per tap-delay vector and kept,
+        read-only, in a per-instance memo; only the gains and path gain
+        change from call to call, so a memo hit returns what a fresh
+        evaluation would, bit for bit.
         """
         tau0 = self.lattice.tau0
         delays = np.asarray(realization.tap_delays) / tau0 + rel_delay / tau0
+        if rel_delay == 0.0:
+            key = tuple(realization.tap_delays)
+            values = self._own_values.get(key)
+            if values is None:
+                values = self._tap_values(delays)
+                values.setflags(write=False)
+                self._own_values[key] = values
+        else:
+            values = self._tap_values(delays)
+        gains = np.asarray(realization.tap_gains)
+        block = np.einsum("t,ltj->lj", gains, values)
+        return np.sqrt(realization.path_gain) * block
+
+    def _tap_values(self, delays: np.ndarray) -> np.ndarray:
+        """Twisted lag-table values A(dl, j, delay), shape (2K - 1, taps, J).
+
+        ``delays`` are the total tap delays in tau0 units.
+        """
         if np.any(np.abs(delays) >= self.max_lag):
             raise ParameterError("tap delay exceeds the filter span")
         lags = self.delta_l[:, None] + delays[None, :]
@@ -535,10 +572,7 @@ class CrossAmbiguity:
         values = np.zeros((flat.size, len(self._freqs)), dtype=complex)
         values[inside] = self._spline(flat[inside])
         values = values.reshape(len(self.delta_l), len(delays), -1)
-        values = values * self._twist(lags)
-        gains = np.asarray(realization.tap_gains)
-        block = np.einsum("t,ltj->lj", gains, values)
-        return np.sqrt(realization.path_gain) * block
+        return values * self._twist(lags)
 
     def convolved_block(self, realization, rel_delay: float, qdiff: int) -> np.ndarray:
         """Channel-convolved ambiguity block at one quantized FO difference."""

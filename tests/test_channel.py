@@ -115,6 +115,48 @@ def test_epa_tap_magnitude_is_rayleigh():
     assert result.pvalue > 0.01
 
 
+def per_call_realization(model, distance, rng, link_id):
+    """realize_channel building its tap arrays on every call: the oracle."""
+    delays = np.array([delay for delay, _ in model.taps])
+    powers = np.array([power for _, power in model.taps])
+    if model.kind == "awgn":
+        gains = np.ones(1, dtype=complex)
+    else:
+        raw = rng.standard_normal(len(powers)) + 1j * rng.standard_normal(len(powers))
+        gains = np.sqrt(powers / 2.0) * raw
+    return ChannelRealization(link_id=link_id,
+                              path_gain=free_space_path_loss(distance, model.carrier_freq),
+                              tap_delays=delays, tap_gains=gains)
+
+
+@pytest.mark.parametrize("kind", ["awgn", "epa"])
+def test_realizations_equal_the_per_call_construction(kind):
+    model = ChannelModel.of_kind(kind, CARRIER)
+    rng, oracle_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for distance in (1.0, 25.0, 300.0, 25.0):
+        real = realize_channel(model, distance, rng, link_id=(2, 1))
+        oracle = per_call_realization(model, distance, oracle_rng, (2, 1))
+        assert real.link_id == oracle.link_id
+        assert real.path_gain == oracle.path_gain
+        for name in ("tap_delays", "tap_gains"):
+            value, expected = getattr(real, name), getattr(oracle, name)
+            assert value.dtype == expected.dtype
+            assert np.array_equal(value, expected)
+            # Shared between realizations, so nobody may write to them.
+            assert not value.flags.writeable
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_taps_given_as_lists_realize_like_tuples():
+    model = ChannelModel.epa(CARRIER)
+    listed = ChannelModel("epa", CARRIER, [list(tap) for tap in model.taps])
+    assert listed.taps == model.taps
+    a = realize_channel(listed, 40.0, np.random.default_rng(7))
+    b = realize_channel(model, 40.0, np.random.default_rng(7))
+    assert np.array_equal(a.tap_delays, b.tap_delays)
+    assert np.array_equal(a.tap_gains, b.tap_gains)
+
+
 def test_path_gain_never_amplifies():
     model = ChannelModel.epa(CARRIER)
     rng = np.random.default_rng(3)

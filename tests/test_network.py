@@ -84,6 +84,38 @@ def test_paired_points_stay_in_area_and_range(x, y, seed):
     assert np.hypot(point[0] - x, point[1] - y) <= 100.0 + 1e-9
 
 
+def numpy_point_near(center, max_range, area_side, rng):
+    """sample_point_near's numpy-array formula; returns (point, draws)."""
+    center = np.asarray(center, dtype=float)
+    draws = 0
+    while True:
+        draws += 1
+        radius = max_range * np.sqrt(rng.uniform())
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        point = center + radius * np.array([np.cos(angle), np.sin(angle)])
+        if 0 <= point[0] <= area_side and 0 <= point[1] <= area_side:
+            return (float(point[0]), float(point[1])), draws
+
+
+def test_paired_points_replay_the_numpy_formula():
+    # Corners and edges reject most disk draws, so points are drawn again.
+    centers = [(0.0, 0.0), (1000.0, 1000.0), (0.0, 500.0), (1000.0, 0.0),
+               (3.7, 999.1), (500.0, 500.0), (12.5, 640.0)]
+    redrawn = 0
+    for seed in range(300):
+        for i, center in enumerate(centers):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            if i % 2:
+                center = np.array(center)
+            point = sample_point_near(center, 100.0, 1000.0, rng)
+            expected, draws = numpy_point_near(center, 100.0, 1000.0, oracle_rng)
+            assert point == expected
+            assert all(type(value) is float for value in point)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            redrawn += draws > 1
+    assert redrawn > 300
+
+
 # ---------------------------------------------------------------------------
 # counting rule
 

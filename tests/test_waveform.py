@@ -210,6 +210,18 @@ def test_mismatched_sample_rates_are_a_config_error(lattice):
         ambiguity(a, b, lattice)
 
 
+@pytest.mark.parametrize("tx, rx", [
+    (make_rrc(0.2), make_gaussian(0.2)),
+    (make_gaussian(0.2), make_gaussian(0.2, span=10.0)),
+])
+def test_mismatched_spans_are_a_config_error(tx, rx, lattice):
+    for a, b in ((tx, rx), (rx, tx)):
+        with pytest.raises(ConfigError, match="sample grid"):
+            ambiguity(a, b, lattice)
+        with pytest.raises(ConfigError, match="sample grid"):
+            CrossAmbiguity(a, b, lattice)
+
+
 @given(st.floats(min_value=-1.5, max_value=1.5), st.floats(min_value=-1.5, max_value=1.5))
 @settings(max_examples=20, deadline=None)
 def test_ambiguity_magnitude_is_symmetric_under_offset_negation(lam, phi, ):
@@ -410,6 +422,64 @@ def test_convolved_full_matches_the_nan_to_num_formula_at_the_span_edge(
         assert np.array_equal(cross.convolved_full(realization, rel_delay),
                               nan_to_num_convolved_full(cross, realization,
                                                         rel_delay))
+
+
+@pytest.mark.parametrize("kind", ["awgn", "epa"])
+@pytest.mark.parametrize("family", ["gaussian", "rrc", "iota"])
+def test_own_channel_memo_returns_the_oracle_bit_for_bit(family, kind, lattice):
+    pulse = filter_factory(family, 0.2)
+    cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
+    model = potsim.ChannelModel.of_kind(kind, 800e6)
+    rng = np.random.default_rng(21)
+    first = potsim.realize_channel(model, 150.0, rng, link_id=(0, 0))
+    taps = len(first.tap_delays)
+    # The same tap delays with other gains and path gains share one entry.
+    others = [potsim.realize_channel(model, distance, rng, link_id=(1, 1))
+              for distance in (3.0, 700.0)]
+    others += [potsim.ChannelRealization(
+        link_id=(2, 2), path_gain=path_gain, tap_delays=first.tap_delays,
+        tap_gains=rng.standard_normal(taps) + 1j * rng.standard_normal(taps))
+        for path_gain in (0.37, 2e-9)]
+    for realization in [first, first] + others:
+        assert np.array_equal(cross.convolved_full(realization, 0.0),
+                              nan_to_num_convolved_full(cross, realization, 0.0))
+    assert list(cross._own_values) == [tuple(first.tap_delays)]
+    assert not cross._own_values[tuple(first.tap_delays)].flags.writeable
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rrc", "iota"])
+def test_own_channel_memo_keeps_one_entry_per_tap_delay_vector(family, lattice):
+    pulse = filter_factory(family, 0.2)
+    cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
+    tau0 = lattice.tau0
+    awgn = potsim.realize_channel(potsim.ChannelModel.awgn(800e6), 90.0, 1)
+    epa = [epa_realization(seed) for seed in (3, 4)]
+    for realization in (awgn, epa[0]):
+        cross.convolved_full(realization, 0.3 * tau0)
+    beyond = potsim.ChannelRealization(
+        link_id=(0, 0), path_gain=1.0, tap_delays=(cross.max_lag * tau0,),
+        tap_gains=(1.0,))
+    with pytest.raises(ParameterError):
+        cross.convolved_full(beyond, 0.0)
+    assert cross._own_values == {}
+    # One tap, like AWGN's, but at another delay.
+    late = potsim.ChannelRealization(
+        link_id=(1, 0), path_gain=0.5, tap_delays=(0.25 * tau0,),
+        tap_gains=(0.3 + 0.4j,))
+    for realization in (awgn, epa[0], late, awgn, epa[1], late):
+        assert np.array_equal(cross.convolved_full(realization, 0.0),
+                              nan_to_num_convolved_full(cross, realization, 0.0))
+    assert set(cross._own_values) == {tuple(awgn.tap_delays),
+                                      tuple(epa[0].tap_delays),
+                                      tuple(late.tap_delays)}
+    assert all(not values.flags.writeable
+               for values in cross._own_values.values())
+    # A filled memo leaves nonzero relative delays on the spline route.
+    for realization in (awgn, epa[1]):
+        assert np.array_equal(
+            cross.convolved_full(realization, 0.3 * tau0),
+            nan_to_num_convolved_full(cross, realization, 0.3 * tau0))
+    assert len(cross._own_values) == 3
 
 
 def spline_cci_profile(cross, realization, rel_delay):
