@@ -14,15 +14,13 @@ from .waveform import (GAUSSIAN, RRC, IOTA, FILTER_FAMILIES, LatticeConfig,
                        PrototypeFilter, make_gaussian, make_rrc, make_iota,
                        filter_factory, ambiguity, CrossAmbiguity)
 from .channel import (ChannelModel, ChannelRealization, free_space_path_loss,
-                      realize_channel, effective_gain)
-from .network import (Link, NetworkScenario, generate_scenario, sample_point_near,
-                      update_aggressor_count, entry_sequence, FoAssignment,
-                      FixedAssignmentPolicy, COUNT_THRESHOLD_DB)
-from .interference import (InterferenceProfile, decompose, sinr, sinr_linear,
-                           capacity, multiuser_efficiency, outage,
-                           victim_energy_tables, ScenarioEnergies,
-                           EnsembleEvaluator)
-from .qlearning import Hyperparams, QTable, q_update, reward, train
+                      realize_channel)
+from .network import (Link, NetworkScenario, sample_point_near,
+                      update_aggressor_count, entry_sequence, COUNT_THRESHOLD_DB)
+from .interference import (InterferenceProfile, sinr, sinr_linear, capacity,
+                           multiuser_efficiency, outage, victim_energy_tables,
+                           ScenarioEnergies, EnsembleEvaluator)
+from .qlearning import Hyperparams, QTable, train
 from .experiments import (ExperimentConfig, run, export_ambiguity_surface,
                           generate_drop)
 
@@ -35,15 +33,13 @@ __all__ = [
     "PrototypeFilter", "make_gaussian", "make_rrc", "make_iota",
     "filter_factory", "ambiguity", "CrossAmbiguity",
     "ChannelModel", "ChannelRealization", "free_space_path_loss",
-    "realize_channel", "effective_gain",
-    "Link", "NetworkScenario", "generate_scenario", "sample_point_near",
-    "update_aggressor_count",
-    "entry_sequence", "FoAssignment", "FixedAssignmentPolicy",
-    "COUNT_THRESHOLD_DB",
-    "InterferenceProfile", "decompose", "sinr", "sinr_linear", "capacity",
+    "realize_channel",
+    "Link", "NetworkScenario", "sample_point_near", "update_aggressor_count",
+    "entry_sequence", "COUNT_THRESHOLD_DB",
+    "InterferenceProfile", "sinr", "sinr_linear", "capacity",
     "multiuser_efficiency", "outage", "victim_energy_tables",
     "ScenarioEnergies", "EnsembleEvaluator",
-    "Hyperparams", "QTable", "q_update", "reward", "train",
+    "Hyperparams", "QTable", "train",
     "ExperimentConfig", "run", "export_ambiguity_surface", "generate_drop",
     "__version__",
 ]

@@ -73,7 +73,6 @@ class ChannelModel:
 class ChannelRealization:
     """One block-fading draw for a transmitter-receiver pair."""
 
-    link_id: tuple
     path_gain: float
     tap_delays: np.ndarray
     tap_gains: np.ndarray
@@ -95,12 +94,6 @@ def free_space_path_loss(distance: float, carrier_freq: float) -> float:
     return amplitude ** 2
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 _UNIT_GAIN = np.ones(1, dtype=complex)
 _UNIT_GAIN.setflags(write=False)
 
@@ -119,37 +112,23 @@ def _tap_arrays(taps: tuple) -> tuple:
     return delays, powers
 
 
-def realize_channel(model: ChannelModel, distance: float, rng,
-                    link_id: tuple = (0, 0)) -> ChannelRealization:
-    """Draw tap gains for one pair at the given distance.
+def realize_channel(model: ChannelModel, distance: float,
+                    rng: np.random.Generator) -> ChannelRealization:
+    """Draw tap gains for one pair at the given distance from ``rng``.
 
-    AWGN always yields the deterministic unit tap. Multipath taps are
-    independent circularly symmetric complex Gaussians with variance equal to
-    the profile power, i.e. Rayleigh magnitudes.
+    AWGN always yields the deterministic unit tap and draws nothing.
+    Multipath taps are independent circularly symmetric complex Gaussians
+    with variance equal to the profile power, i.e. Rayleigh magnitudes. The
+    realization does not know its pair: callers key it by (transmitter id,
+    receiver id).
     """
-    generator = _as_generator(rng)
     path_gain = free_space_path_loss(distance, model.carrier_freq)
     delays, powers = _tap_arrays(model.taps)
     if model.kind == AWGN:
         gains = _UNIT_GAIN
     else:
-        raw = generator.standard_normal(len(powers)) + 1j * generator.standard_normal(len(powers))
+        raw = rng.standard_normal(len(powers)) + 1j * rng.standard_normal(len(powers))
         gains = np.sqrt(powers / 2.0) * raw
         gains.setflags(write=False)
-    return ChannelRealization(link_id=tuple(link_id), path_gain=float(path_gain),
-                              tap_delays=delays, tap_gains=gains)
-
-
-def effective_gain(realization: ChannelRealization, ambiguity_fn,
-                   delta_l: int = 0, delta_n: int = 0, delta_f: float = 0.0,
-                   base_delay: float = 0.0) -> complex:
-    """Channel-convolved ambiguity coefficient for one lattice offset.
-
-    ambiguity_fn(delta_l, delta_n, delta_f, delta_t) must evaluate the pulse
-    pair ambiguity at a residual delay delta_t in seconds; each tap
-    contributes its gain times the ambiguity at base_delay + tap_delay.
-    """
-    total = 0j
-    for delay, gain in zip(realization.tap_delays, realization.tap_gains):
-        total += gain * ambiguity_fn(delta_l, delta_n, delta_f, base_delay + delay)
-    return np.sqrt(realization.path_gain) * total
+    return ChannelRealization(path_gain=float(path_gain), tap_delays=delays,
+                              tap_gains=gains)

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,6 +51,17 @@ EXPERIMENT_METRICS = {
 
 CSV_HEADER = "grid_value,filter,mode,metric,mean,ci95,drops"
 
+#: Config fields that count or index something, so only an integer is valid.
+_INTEGER_FIELDS = ("num_drops", "num_aggressors", "num_subcarriers",
+                   "num_symbols", "sample_rate", "fo_quantum", "seed",
+                   "surface_resolution")
+
+
+def _require_integer(name: str, value) -> None:
+    # bool is an Integral too, but ``true`` in a JSON config is a typo.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -86,6 +98,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for name in _INTEGER_FIELDS:
+            _require_integer(name, getattr(self, name))
+        for value in self.aggressor_grid:
+            _require_integer("aggressor_grid entries", value)
         object.__setattr__(self, "filters",
                            tuple(str(f).lower() for f in self.filters))
         if not self.filters:
@@ -201,38 +217,24 @@ def generate_drop(config: ExperimentConfig, num_aggressors: int,
                            lattice=lattice, fo_quantum=config.fo_quantum)
 
 
-def realize_victim_channels(scenario: NetworkScenario, model: ChannelModel,
-                            rng: np.random.Generator) -> dict:
-    """Channel realizations into the victim receiver, keyed (tx id, victim id).
+def realize_channels(scenario: NetworkScenario, model: ChannelModel,
+                     rng: np.random.Generator, receivers) -> dict:
+    """Channel realizations from every link into each of ``receivers``.
 
-    Tap draws are ordered by link id so the realization set is a pure
-    function of the stream, independent of filter or overlap mode.
+    Keyed (transmitter id, receiver id). Draws run receiver by receiver and,
+    within one, in link order, so the realization set is a pure function of
+    the stream, independent of filter or overlap mode. The sweep passes the
+    victim alone; sum-capacity training passes every link.
     """
-    victim = scenario.links[0]
     realizations = {}
-    for link in scenario.links:
-        if link.link_id == victim.link_id:
-            distance = victim.length
-        else:
-            distance = math.dist(link.tp_position, victim.rp_position)
-        key = (link.link_id, victim.link_id)
-        realizations[key] = realize_channel(model, distance, rng, link_id=key)
-    return realizations
-
-
-def realize_all_channels(scenario: NetworkScenario, model: ChannelModel,
-                         rng: np.random.Generator) -> dict:
-    """Realizations for every ordered link pair, for sum-capacity training."""
-    realizations = {}
-    for rx in scenario.links:
+    for rx in receivers:
         for tx in scenario.links:
             if tx.link_id == rx.link_id:
                 distance = rx.length
             else:
                 distance = math.dist(tx.tp_position, rx.rp_position)
-            key = (tx.link_id, rx.link_id)
-            realizations[key] = realize_channel(model, distance, rng,
-                                                link_id=key)
+            realizations[(tx.link_id, rx.link_id)] = realize_channel(
+                model, distance, rng)
     return realizations
 
 
@@ -246,7 +248,7 @@ def scenario_family(config: ExperimentConfig, cross_amb: CrossAmbiguity):
 
     def build(num_links: int, rng: np.random.Generator) -> ScenarioEnergies:
         scenario = generate_drop(config, num_links - 1, rng)
-        realizations = realize_all_channels(scenario, model, rng)
+        realizations = realize_channels(scenario, model, rng, scenario.links)
         return ScenarioEnergies(scenario, realizations, cross_amb,
                                 snr_db=config.snr_db)
 
@@ -363,7 +365,8 @@ def _sweep(config: ExperimentConfig, policy) -> list:
             geometry_rng = np.random.default_rng([config.seed, g_idx, drop, 0])
             scenario = generate_drop(config, num_aggressors, geometry_rng)
             channel_rng = np.random.default_rng([config.seed, g_idx, drop, 1])
-            realizations = realize_victim_channels(scenario, model, channel_rng)
+            realizations = realize_channels(scenario, model, channel_rng,
+                                            scenario.links[:1])
             victim, aggressors = scenario.links[0], scenario.links[1:]
             qdiffs = {FULL_OVERLAP: [0] * len(aggressors)}
             if POT in config.modes:

@@ -36,14 +36,6 @@ class InterferenceProfile:
         return sum(self.per_aggressor.values())
 
 
-def _relative_fo_index(aggressor, victim, fo_step: float) -> int:
-    """Quantized FO difference between two links, validated against the grid."""
-    qdiff = (aggressor.fo - victim.fo) / fo_step
-    if abs(qdiff - round(qdiff)) > 1e-6:
-        raise ConfigError("link FO difference is off the quantized grid")
-    return int(round(qdiff))
-
-
 def _relative_delay(aggressor, victim, tau0: float) -> float:
     return (aggressor.timing_offset - victim.timing_offset) % tau0
 
@@ -109,22 +101,6 @@ def profile_at(e_signal: float, e_self: float, profiles: np.ndarray,
         per_aggressor[aggressor.link_id] = float(row[qdiff + fo_quantum - 1])
     return InterferenceProfile(e_signal=e_signal, e_self=e_self,
                                noise_var=noise_var, per_aggressor=per_aggressor)
-
-
-def decompose(victim, aggressors, realizations, cross_amb: CrossAmbiguity,
-              noise_var: float) -> InterferenceProfile:
-    """Split the victim's received energy into signal, self, and cross terms.
-
-    Aggressor terms are read at each link's quantized FO difference to the
-    victim; see ``victim_energy_tables`` for the lattice offsets summed.
-    """
-    if noise_var < 0:
-        raise ParameterError("noise variance must be non-negative")
-    fo_step = cross_amb.lattice.nu0 / cross_amb.fo_quantum
-    qdiffs = [_relative_fo_index(aggressor, victim, fo_step)
-              for aggressor in aggressors]
-    tables = victim_energy_tables(victim, aggressors, realizations, cross_amb)
-    return profile_at(*tables, aggressors, qdiffs, noise_var)
 
 
 def sinr(profile: InterferenceProfile) -> float:

@@ -8,8 +8,8 @@ while an unclaimed quantized offset remains.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class Link:
     rp_position: tuple
     entry_rank: int
     timing_offset: float = 0.0
-    fo: float = 0.0
     fo_index: int = 0
     aggressor_count: int = 0
 
@@ -48,7 +47,6 @@ class NetworkScenario:
     max_link_range: float
     lattice: LatticeConfig
     fo_quantum: int = 8
-    rng_seed: object = None
 
     def __post_init__(self):
         if self.area_side <= 0 or self.max_link_range <= 0:
@@ -67,13 +65,8 @@ class NetworkScenario:
             if not 0 <= link.timing_offset < self.lattice.tau0:
                 raise ConfigError("timing offsets must lie in [0, tau0)")
 
-    @property
-    def fo_step(self) -> float:
-        return self.lattice.nu0 / self.fo_quantum
-
     def set_fo_index(self, link: Link, q: int):
         link.fo_index = int(q) % self.fo_quantum
-        link.fo = link.fo_index * self.fo_step
 
     def by_entry_order(self) -> list:
         return sorted(self.links, key=lambda link: link.entry_rank)
@@ -96,31 +89,6 @@ def sample_point_near(center, max_range: float, area_side: float,
             return (x, y)
 
 
-def generate_scenario(num_links: int, area_side: float, max_link_range: float,
-                      rng_seed, lattice: LatticeConfig,
-                      fo_quantum: int = 8) -> NetworkScenario:
-    """Drop links uniformly on the area with a random entry order.
-
-    Transmit points are uniform on the square; each receive point is uniform
-    in the disk of max_link_range around its transmitter, resampled until it
-    falls inside the area. All offsets start at zero.
-    """
-    if num_links < 1:
-        raise ParameterError("num_links must be at least 1")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    ranks = rng.permutation(num_links) + 1
-    links = []
-    for i in range(num_links):
-        tp = rng.uniform(0.0, area_side, size=2)
-        rp = sample_point_near(tp, max_link_range, area_side, rng)
-        links.append(Link(link_id=i, tp_position=(float(tp[0]), float(tp[1])),
-                          rp_position=rp, entry_rank=int(ranks[i]),
-                          timing_offset=float(rng.uniform(0.0, lattice.tau0))))
-    return NetworkScenario(links=links, area_side=area_side,
-                           max_link_range=max_link_range, lattice=lattice,
-                           fo_quantum=fo_quantum, rng_seed=rng_seed)
-
-
 def update_aggressor_count(link: Link, sinr_before_db: float,
                            sinr_after_db: float) -> int:
     """Apply the 3 dB counting rule and return the updated counter.
@@ -135,17 +103,9 @@ def update_aggressor_count(link: Link, sinr_before_db: float,
     return link.aggressor_count
 
 
-class FoAssignment(NamedTuple):
-    """One entry event: who consulted the policy, at what count, taking what FO."""
-
-    link_id: int
-    aggressor_count: int
-    fo: float
-
-
 def entry_sequence(scenario: NetworkScenario, policy,
-                   measure: Optional[Callable[[Link, Link], tuple]] = None) -> list:
-    """Replay sequential link entries and assign frequency offsets.
+                   measure: Optional[Callable[[Link, Link], tuple]] = None) -> None:
+    """Replay sequential link entries and assign frequency offsets in place.
 
     Links activate in entry_rank order at FO zero. Every active link compares
     its SINR just before and just after the newcomer's first burst (through
@@ -159,10 +119,12 @@ def entry_sequence(scenario: NetworkScenario, policy,
     ``policy`` may be None (every link stays at FO zero, the fully
     overlapping baseline) or any object with fo_assignment(count) returning a
     tuple of quantized FO indices for that many aggressors.
+
+    Returns None: the outcome is each link's ``fo_index`` and
+    ``aggressor_count``, as the entry left them.
     """
     if measure is None:
         measure = lambda observer, entrant: (math.inf, 0.0)
-    trace = []
     active = []
     claimed_at_count = {}
     for entrant in scenario.by_entry_order():
@@ -181,9 +143,7 @@ def entry_sequence(scenario: NetworkScenario, policy,
                              {link.fo_index for link in active})
             scenario.set_fo_index(entrant, q)
             claimed_at_count[count].add(entrant.fo_index)
-        trace.append(FoAssignment(entrant.link_id, count, entrant.fo))
         active.append(entrant)
-    return trace
 
 
 def _pick_offset(scenario: NetworkScenario, policy, count: int,

@@ -70,10 +70,6 @@ class Hyperparams:
         frac = episode / (self.episodes - 1)
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Hyperparams":
-        return cls(**data)
-
 
 def q_update(q_old: float, reward_value: float, max_next: float,
              beta: float, gamma: float) -> float:
@@ -216,10 +212,6 @@ class QTable:
             rows.update(cand for cand in visited if cand in sub)
         return visited, absorbed
 
-    @property
-    def trained_counts(self) -> tuple:
-        return tuple(sorted(self.per_count))
-
     def save(self, path) -> None:
         """Write, per count, only the rows ``fo_assignment`` reads.
 
@@ -291,7 +283,7 @@ class QTable:
             raise ConfigError("unsupported Q-table artifact version")
         _check_header(header)
         try:
-            hyperparams = Hyperparams.from_dict(header["hyperparams"])
+            hyperparams = Hyperparams(**header["hyperparams"])
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"Q-table artifact hyperparams are invalid: {exc}") from exc
         table = cls(fo_quantum=header["fo_quantum"], hyperparams=hyperparams,

@@ -20,8 +20,9 @@ from potsim import (ExperimentConfig, LatticeConfig, Link, filter_factory,
                     make_iota, make_rrc)
 from potsim.channel import ChannelRealization
 from potsim.cli import main
-from potsim.experiments import generate_drop, realize_all_channels, run
-from potsim.interference import ScenarioEnergies, decompose, EnsembleEvaluator
+from potsim.experiments import generate_drop, realize_channels, run
+from potsim.interference import (EnsembleEvaluator, ScenarioEnergies,
+                                 profile_at, victim_energy_tables)
 from potsim.qlearning import Hyperparams, train
 from potsim.waveform import CrossAmbiguity, ambiguity
 
@@ -233,22 +234,23 @@ def time_domain_energies(pulse, victim_taps, aggressor_taps,
 
 
 def model_energies(pulse, victim_taps, aggressor_taps):
-    tau0, nu0 = ORACLE_LATTICE.tau0, ORACLE_LATTICE.nu0
+    tau0 = ORACLE_LATTICE.tau0
     cross = CrossAmbiguity(pulse, pulse, ORACLE_LATTICE, fo_quantum=8)
     victim = Link(0, (0.0, 0.0), (10.0, 0.0), 1)
     aggressor = Link(1, (5.0, 5.0), (12.0, 3.0), 2,
                      timing_offset=ORACLE_SHIFT * tau0,
-                     fo=ORACLE_FO * nu0, fo_index=3)
+                     fo_index=3)
 
-    def realization(pair, taps):
-        return ChannelRealization(pair, 1.0,
+    def realization(taps):
+        return ChannelRealization(1.0,
                                   np.array([delay * tau0 for _, delay in taps]),
                                   np.array([gain for gain, _ in taps]))
 
-    realizations = {(0, 0): realization((0, 0), victim_taps),
-                    (1, 0): realization((1, 0), aggressor_taps)}
-    profile = decompose(victim, [aggressor], realizations, cross,
-                        noise_var=0.0)
+    realizations = {(0, 0): realization(victim_taps),
+                    (1, 0): realization(aggressor_taps)}
+    tables = victim_energy_tables(victim, [aggressor], realizations, cross)
+    profile = profile_at(*tables, [aggressor],
+                         [aggressor.fo_index - victim.fo_index], noise_var=0.0)
     return profile.e_signal, profile.e_self, profile.per_aggressor[1]
 
 
@@ -288,8 +290,8 @@ def test_criterion_4_policy_matches_exhaustive_optimum():
         for d in range(TRAIN["ensemble"]):
             rng = np.random.default_rng([0, num_links, d])
             scenario = generate_drop(config, num_links - 1, rng)
-            realizations = realize_all_channels(scenario,
-                                                config.channel_model, rng)
+            realizations = realize_channels(scenario, config.channel_model,
+                                            rng, scenario.links)
             drops.append(ScenarioEnergies(scenario, realizations, cross,
                                           snr_db=config.snr_db))
         return drops

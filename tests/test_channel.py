@@ -10,9 +10,7 @@ from potsim import (
     ChannelRealization,
     ParameterError,
     ambiguity,
-    effective_gain,
     free_space_path_loss,
-    make_gaussian,
     realize_channel,
 )
 
@@ -90,8 +88,8 @@ def test_awgn_realization_is_deterministic_unit_tap():
 
 def test_same_stream_reproduces_the_same_epa_draw():
     model = ChannelModel.epa(CARRIER)
-    a = realize_channel(model, 40.0, np.random.default_rng(7), link_id=(1, 0))
-    b = realize_channel(model, 40.0, np.random.default_rng(7), link_id=(1, 0))
+    a = realize_channel(model, 40.0, np.random.default_rng(7))
+    b = realize_channel(model, 40.0, np.random.default_rng(7))
     assert np.array_equal(a.tap_gains, b.tap_gains)
     assert a.path_gain == b.path_gain
 
@@ -115,7 +113,7 @@ def test_epa_tap_magnitude_is_rayleigh():
     assert result.pvalue > 0.01
 
 
-def per_call_realization(model, distance, rng, link_id):
+def per_call_realization(model, distance, rng):
     """realize_channel building its tap arrays on every call: the oracle."""
     delays = np.array([delay for delay, _ in model.taps])
     powers = np.array([power for _, power in model.taps])
@@ -124,8 +122,7 @@ def per_call_realization(model, distance, rng, link_id):
     else:
         raw = rng.standard_normal(len(powers)) + 1j * rng.standard_normal(len(powers))
         gains = np.sqrt(powers / 2.0) * raw
-    return ChannelRealization(link_id=link_id,
-                              path_gain=free_space_path_loss(distance, model.carrier_freq),
+    return ChannelRealization(path_gain=free_space_path_loss(distance, model.carrier_freq),
                               tap_delays=delays, tap_gains=gains)
 
 
@@ -134,9 +131,8 @@ def test_realizations_equal_the_per_call_construction(kind):
     model = ChannelModel.of_kind(kind, CARRIER)
     rng, oracle_rng = np.random.default_rng(17), np.random.default_rng(17)
     for distance in (1.0, 25.0, 300.0, 25.0):
-        real = realize_channel(model, distance, rng, link_id=(2, 1))
-        oracle = per_call_realization(model, distance, oracle_rng, (2, 1))
-        assert real.link_id == oracle.link_id
+        real = realize_channel(model, distance, rng)
+        oracle = per_call_realization(model, distance, oracle_rng)
         assert real.path_gain == oracle.path_gain
         for name in ("tap_delays", "tap_gains"):
             value, expected = getattr(real, name), getattr(oracle, name)
@@ -169,51 +165,77 @@ def test_path_gain_never_amplifies():
 # channel-convolved ambiguity
 
 
-@pytest.fixture(scope="module")
-def amb_fn(lattice):
-    pulse = make_gaussian(0.2)
-
-    def fn(delta_l, delta_n, delta_f, delta_t):
-        return ambiguity(pulse, pulse, lattice, delta_l, delta_n, delta_f, delta_t)
-
-    return fn
+def block_entry(block, delta_l, delta_n, cross):
+    """Entry of a ``convolved_block`` at lattice offset (delta_l, delta_n)."""
+    k = cross.lattice.num_symbols
+    return block[delta_l + k - 1, delta_n + cross.reference_subcarrier]
 
 
-def test_identity_channel_reduces_to_bare_ambiguity(amb_fn, lattice):
-    real = ChannelRealization(link_id=(0, 0), path_gain=1.0,
-                              tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
+def test_identity_channel_reduces_to_bare_ambiguity(cross_gaussian, gaussian_02,
+                                                    lattice):
+    real = ChannelRealization(path_gain=1.0, tap_delays=(0.0,),
+                              tap_gains=(1.0 + 0j,))
+    block = cross_gaussian.convolved_block(real, 0.0, 0)
     for dl, dn in ((0, 0), (1, 0), (0, 2)):
-        got = effective_gain(real, amb_fn, delta_l=dl, delta_n=dn)
-        assert got == pytest.approx(amb_fn(dl, dn, 0.0, 0.0), abs=1e-12)
+        direct = ambiguity(gaussian_02, gaussian_02, lattice, dl, dn, 0.0, 0.0)
+        assert abs(block_entry(block, dl, dn, cross_gaussian) - direct) < 1e-5
 
 
-def test_effective_gain_is_linear_in_tap_gains(amb_fn):
-    doubled = ChannelRealization(link_id=(0, 0), path_gain=1.0,
-                                 tap_delays=(0.0, 0.0), tap_gains=(1.0 + 0j, 1.0 + 0j))
-    single = ChannelRealization(link_id=(0, 0), path_gain=1.0,
-                                tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
-    assert effective_gain(doubled, amb_fn) == pytest.approx(2 * effective_gain(single, amb_fn))
+def test_convolved_block_is_linear_in_tap_gains(cross_gaussian, lattice):
+    doubled = ChannelRealization(path_gain=1.0, tap_delays=(0.0, 0.0),
+                                 tap_gains=(1.0 + 0j, 1.0 + 0j))
+    single = ChannelRealization(path_gain=1.0, tap_delays=(0.0,),
+                                tap_gains=(1.0 + 0j,))
+    assert np.allclose(cross_gaussian.convolved_block(doubled, 0.0, 0),
+                       2 * cross_gaussian.convolved_block(single, 0.0, 0),
+                       rtol=0.0, atol=1e-12)
 
     rng = np.random.default_rng(2)
     delays = tuple(rng.uniform(0.0, 1e-6, size=3))
     g1 = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     g2 = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     mix = tuple(a + b for a, b in zip(g1, g2))
-    parts = [effective_gain(ChannelRealization((0, 0), 1.0, delays, g), amb_fn, delta_n=1)
+    rel_delay = 0.3 * lattice.tau0
+    parts = [cross_gaussian.convolved_block(ChannelRealization(1.0, delays, g),
+                                            rel_delay, 1)
              for g in (g1, g2, mix)]
-    assert parts[2] == pytest.approx(parts[0] + parts[1], abs=1e-9)
+    assert np.allclose(parts[2], parts[0] + parts[1], rtol=0.0, atol=1e-9)
 
 
-def test_effective_gain_respects_the_triangle_bound(amb_fn):
+def test_convolved_block_respects_the_triangle_bound(cross_gaussian, lattice):
+    # Unit-energy pulses have |A| <= 1 at every offset, so no entry can
+    # exceed the root path gain times the summed tap magnitudes.
     model = ChannelModel.epa(CARRIER)
     real = realize_channel(model, 20.0, np.random.default_rng(17))
-    got = abs(effective_gain(real, amb_fn))
     bound = np.sqrt(real.path_gain) * np.sum(np.abs(real.tap_gains))
-    assert got <= bound + 1e-12
+    for rel, qdiff in ((0.0, 0), (0.42, 3), (0.9, -5)):
+        block = cross_gaussian.convolved_block(real, rel * lattice.tau0, qdiff)
+        assert np.max(np.abs(block)) <= bound * (1.0 + 1e-6)
 
 
-def test_tap_delay_beyond_the_filter_span_is_loud(amb_fn, lattice):
-    real = ChannelRealization(link_id=(0, 0), path_gain=1.0,
-                              tap_delays=(20.0 * lattice.tau0,), tap_gains=(1.0 + 0j,))
+def test_multi_tap_block_matches_direct_ambiguity_values(cross_gaussian,
+                                                        gaussian_02, lattice):
+    tau0, nu0 = lattice.tau0, lattice.nu0
+    taps = np.array([0.0, 0.04, 0.11]) * tau0
+    gains = np.array([0.8 - 0.1j, -0.35 + 0.4j, 0.2 + 0.25j])
+    path_gain, rel, qdiff = 0.37, 0.37 * tau0, 3
+    real = ChannelRealization(path_gain, taps, gains)
+    block = cross_gaussian.convolved_block(real, rel, qdiff)
+    checked = 0
+    for dl, dn in ((0, 0), (-1, 0), (-2, 0), (-2, -1), (1, 0)):
+        direct = np.sqrt(path_gain) * sum(
+            g * ambiguity(gaussian_02, gaussian_02, lattice, delta_l=dl,
+                          delta_n=dn, delta_f=qdiff * nu0 / 8,
+                          delta_t=rel + tau)
+            for g, tau in zip(gains, taps))
+        checked += abs(direct) > 1e-2
+        assert abs(block_entry(block, dl, dn, cross_gaussian) - direct) < 1e-5
+    # Entries well above the tolerance, so a wrong tap phase cannot hide.
+    assert checked >= 3
+
+
+def test_tap_delay_beyond_the_filter_span_is_loud(cross_gaussian, lattice):
+    real = ChannelRealization(path_gain=1.0, tap_delays=(20.0 * lattice.tau0,),
+                              tap_gains=(1.0 + 0j,))
     with pytest.raises(ParameterError):
-        effective_gain(real, amb_fn)
+        cross_gaussian.convolved_block(real, 0.0, 0)

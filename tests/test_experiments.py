@@ -282,6 +282,21 @@ def test_cli_rejects_bad_configs(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("num_drops", 2.5), ("seed", 1.5), ("num_subcarriers", 12.0),
+    ("fo_quantum", 8.5), ("num_drops", True), ("aggressor_grid", [1.7])])
+def test_cli_rejects_a_non_integer_count_or_index(tmp_path, capsys, field,
+                                                  value):
+    # Each once crashed with a traceback or silently ran another config.
+    data = quick_config(overlap_mode="full_overlap").to_dict()
+    data[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_cli_reports_missing_artifacts(tmp_path):
     config = quick_config(train_if_missing=False)
     path = write_config(tmp_path, config)

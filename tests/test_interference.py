@@ -12,13 +12,14 @@ from potsim import (
     ChannelRealization,
     CrossAmbiguity,
     EnsembleEvaluator,
+    ExperimentConfig,
     InterferenceProfile,
     LatticeConfig,
     Link,
     ParameterError,
     ScenarioEnergies,
     capacity,
-    decompose,
+    generate_drop,
     make_gaussian,
     make_rrc,
     multiuser_efficiency,
@@ -27,18 +28,26 @@ from potsim import (
     sinr_linear,
     victim_energy_tables,
 )
+from potsim.interference import profile_at
 
 Q = 8
 
 
-def unit_tap(link_id, gain=1.0):
-    return ChannelRealization(link_id=link_id, path_gain=abs(gain) ** 2,
-                              tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
+def unit_tap(gain=1.0):
+    return ChannelRealization(path_gain=abs(gain) ** 2, tap_delays=(0.0,),
+                              tap_gains=(1.0 + 0j,))
 
 
-def link_at(link_id, rank, fo=0.0, timing=0.0, fo_index=0):
+def link_at(link_id, rank, timing=0.0, fo_index=0):
     return Link(link_id=link_id, tp_position=(0.0, 0.0), rp_position=(1.0, 0.0),
-                entry_rank=rank, fo=fo, timing_offset=timing, fo_index=fo_index)
+                entry_rank=rank, timing_offset=timing, fo_index=fo_index)
+
+
+def profile_of(victim, aggressors, realizations, cross, noise_var):
+    """The victim's energy split at the links' FO indices, as a sweep reads it."""
+    qdiffs = [aggressor.fo_index - victim.fo_index for aggressor in aggressors]
+    tables = victim_energy_tables(victim, aggressors, realizations, cross)
+    return profile_at(*tables, aggressors, qdiffs, noise_var)
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +58,9 @@ def setup(lattice, gaussian_02):
 
 
 def realizations_for(victim, aggressors, gain=1.0):
-    table = {(victim.link_id, victim.link_id): unit_tap((victim.link_id, victim.link_id))}
+    table = {(victim.link_id, victim.link_id): unit_tap()}
     for aggressor in aggressors:
-        key = (aggressor.link_id, victim.link_id)
-        table[key] = unit_tap(key, gain)
+        table[(aggressor.link_id, victim.link_id)] = unit_tap(gain)
     return table
 
 
@@ -62,7 +70,7 @@ def realizations_for(victim, aggressors, gain=1.0):
 
 def test_no_aggressors_means_no_cross_interference(setup):
     lattice, cross, victim = setup
-    profile = decompose(victim, [], realizations_for(victim, []), cross, noise_var=0.0)
+    profile = profile_of(victim, [], realizations_for(victim, []), cross, noise_var=0.0)
     assert profile.e_cci == 0.0
     assert profile.per_aggressor == {}
     assert profile.e_signal == pytest.approx(1.0, abs=1e-6)
@@ -71,7 +79,7 @@ def test_no_aggressors_means_no_cross_interference(setup):
 def test_fully_overlapping_equal_gain_aggressor_couples_at_least_signal_energy(setup):
     lattice, cross, victim = setup
     aggressor = link_at(1, 2)
-    profile = decompose(victim, [aggressor], realizations_for(victim, [aggressor]),
+    profile = profile_of(victim, [aggressor], realizations_for(victim, [aggressor]),
                         cross, noise_var=0.0)
     # Same filter, same FO, same timing: the (0, 0) term alone already equals
     # the signal energy, the non-orthogonal lattice tails add on top of it.
@@ -81,7 +89,7 @@ def test_fully_overlapping_equal_gain_aggressor_couples_at_least_signal_energy(s
 def test_full_overlap_gaussian_coupling_matches_theta_series(setup):
     lattice, cross, victim = setup
     aggressor = link_at(1, 2)
-    profile = decompose(victim, [aggressor], realizations_for(victim, [aggressor]),
+    profile = profile_of(victim, [aggressor], realizations_for(victim, [aggressor]),
                         cross, noise_var=0.0)
     rho = 0.2
     time_series = sum(math.exp(-math.pi * rho * l * l) for l in range(-11, 12))
@@ -92,12 +100,11 @@ def test_full_overlap_gaussian_coupling_matches_theta_series(setup):
 
 def test_half_spacing_offset_couples_less_than_full_overlap(setup):
     lattice, cross, victim = setup
-    fo_step = lattice.nu0 / Q
     overlapped = link_at(1, 2)
-    shifted = link_at(1, 2, fo=4 * fo_step, fo_index=4)
+    shifted = link_at(1, 2, fo_index=4)
     reals = realizations_for(victim, [overlapped])
-    full = decompose(victim, [overlapped], reals, cross, 0.0).per_aggressor[1]
-    half = decompose(victim, [shifted], reals, cross, 0.0).per_aggressor[1]
+    full = profile_of(victim, [overlapped], reals, cross, 0.0).per_aggressor[1]
+    half = profile_of(victim, [shifted], reals, cross, 0.0).per_aggressor[1]
     assert half < full
 
 
@@ -107,7 +114,7 @@ def test_orthogonal_rrc_design_lattice_has_negligible_self_interference():
     pulse = make_rrc(alpha)
     cross = CrossAmbiguity(pulse, pulse, lat, fo_quantum=Q)
     victim = link_at(0, 1)
-    profile = decompose(victim, [], realizations_for(victim, []), cross, 0.0)
+    profile = profile_of(victim, [], realizations_for(victim, []), cross, 0.0)
     assert profile.e_self <= 1e-3 * profile.e_signal
 
 
@@ -122,19 +129,18 @@ def test_orthogonal_full_overlap_aggressor_couples_exactly_signal_energy():
     victim = link_at(0, 1)
     aggressor = link_at(1, 2)
     reals = realizations_for(victim, [aggressor])
-    profile = decompose(victim, [aggressor], reals, cross, 0.0)
+    profile = profile_of(victim, [aggressor], reals, cross, 0.0)
     assert profile.per_aggressor[1] == pytest.approx(profile.e_signal, rel=1e-3)
 
 
 def test_cci_is_additive_over_aggressors(setup):
     lattice, cross, victim = setup
-    fo_step = lattice.nu0 / Q
-    aggressors = [link_at(1, 2, fo=2 * fo_step, timing=0.3 * lattice.tau0, fo_index=2),
-                  link_at(2, 3, fo=5 * fo_step, timing=0.7 * lattice.tau0, fo_index=5)]
+    aggressors = [link_at(1, 2, timing=0.3 * lattice.tau0, fo_index=2),
+                  link_at(2, 3, timing=0.7 * lattice.tau0, fo_index=5)]
     reals = realizations_for(victim, aggressors, gain=0.5)
-    both = decompose(victim, aggressors, reals, cross, 0.0)
+    both = profile_of(victim, aggressors, reals, cross, 0.0)
     assert both.e_cci == pytest.approx(sum(both.per_aggressor.values()), rel=1e-9)
-    first_only = decompose(victim, aggressors[:1], reals, cross, 0.0)
+    first_only = profile_of(victim, aggressors[:1], reals, cross, 0.0)
     assert both.e_cci - both.per_aggressor[2] == pytest.approx(first_only.e_cci, rel=1e-12)
 
 
@@ -142,14 +148,18 @@ def test_missing_realization_is_a_config_error(setup):
     lattice, cross, victim = setup
     aggressor = link_at(1, 2)
     with pytest.raises(potsim.ConfigError):
-        decompose(victim, [aggressor], realizations_for(victim, []), cross, 0.0)
+        profile_of(victim, [aggressor], realizations_for(victim, []), cross, 0.0)
 
 
 def test_off_grid_fo_difference_is_rejected(setup):
     lattice, cross, victim = setup
-    aggressor = link_at(1, 2, fo=0.123456 * lattice.nu0)
-    with pytest.raises(potsim.ConfigError):
-        decompose(victim, [aggressor], realizations_for(victim, [aggressor]), cross, 0.0)
+    aggressor = link_at(1, 2)
+    tables = victim_energy_tables(victim, [aggressor],
+                                  realizations_for(victim, [aggressor]), cross)
+    # The tables span qdiff in (-Q, Q); a wider difference has no column.
+    for qdiff in (Q, -Q, 2 * Q):
+        with pytest.raises(potsim.ConfigError):
+            profile_at(*tables, [aggressor], [qdiff], 0.0)
 
 
 def test_negative_energies_are_rejected():
@@ -242,9 +252,9 @@ def test_outage_uses_a_strict_threshold():
 # precomputed scenario tables agree with the direct route
 
 
-def build_scenario(lattice, num_links, seed):
-    scenario = potsim.generate_scenario(num_links, 1000.0, 100.0,
-                                        np.random.default_rng(seed), lattice)
+def build_scenario(num_links, seed):
+    config = ExperimentConfig(experiment="capacity_vs_aggressors")
+    scenario = generate_drop(config, num_links - 1, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     for q, link in zip(rng.integers(0, Q, size=num_links), scenario.links):
         scenario.set_fo_index(link, int(q))
@@ -254,8 +264,7 @@ def build_scenario(lattice, num_links, seed):
         for tx in scenario.links:
             distance = math.dist(tx.tp_position, rx.rp_position)
             realizations[(tx.link_id, rx.link_id)] = potsim.realize_channel(
-                model, max(distance, 1e-3), np.random.default_rng([seed, tx.link_id, rx.link_id]),
-                link_id=(tx.link_id, rx.link_id))
+                model, max(distance, 1e-3), np.random.default_rng([seed, tx.link_id, rx.link_id]))
     return scenario, realizations
 
 
@@ -264,17 +273,17 @@ def network_capacity(scenario, realizations, cross, noise):
     total = 0.0
     for index, victim in enumerate(scenario.links):
         aggressors = [link for link in scenario.links if link is not victim]
-        total += capacity(decompose(victim, aggressors, realizations, cross,
-                                    float(noise[index])))
+        total += capacity(profile_of(victim, aggressors, realizations, cross,
+                                     float(noise[index])))
     return total
 
 
 def test_scenario_tables_reproduce_direct_decomposition(lattice, cross_gaussian):
-    scenario, realizations = build_scenario(lattice, 4, seed=77)
+    scenario, realizations = build_scenario(4, seed=77)
     energies = ScenarioEnergies(scenario, realizations, cross_gaussian, noise_var=0.01)
     for index, victim in enumerate(scenario.links):
         aggressors = [link for link in scenario.links if link is not victim]
-        direct = decompose(victim, aggressors, realizations, cross_gaussian, 0.01)
+        direct = profile_of(victim, aggressors, realizations, cross_gaussian, 0.01)
         assert energies.e_signal[index] == pytest.approx(direct.e_signal, rel=1e-12)
         assert energies.e_self[index] == pytest.approx(direct.e_self, rel=1e-12)
         assert energies.noise[index] == 0.01
@@ -287,23 +296,31 @@ def test_scenario_tables_reproduce_direct_decomposition(lattice, cross_gaussian)
 
 
 def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian):
-    scenario, realizations = build_scenario(lattice, 4, seed=78)
+    scenario, realizations = build_scenario(4, seed=78)
     victim = scenario.links[0]
     aggressors = scenario.links[1:]
     e_signal, e_self, profiles = victim_energy_tables(
         victim, aggressors, realizations, cross_gaussian)
-    direct = decompose(victim, aggressors, realizations, cross_gaussian, 0.0)
-    assert e_signal == pytest.approx(direct.e_signal, rel=1e-12)
-    assert e_self == pytest.approx(direct.e_self, rel=1e-12)
+    direct = profile_of(victim, aggressors, realizations, cross_gaussian, 0.0)
+    # Own energies from the block itself: the zero-delay term on the
+    # reference subcarrier is the signal, every other term self-interference.
+    own = np.abs(cross_gaussian.convolved_block(
+        realizations[(0, 0)], 0.0, 0)) ** 2
+    signal = own[lattice.num_symbols - 1, cross_gaussian.reference_subcarrier]
+    assert e_signal == direct.e_signal == pytest.approx(signal, rel=1e-12)
+    assert e_self == direct.e_self == pytest.approx(own.sum() - signal, rel=1e-9)
     assert profiles.shape == (len(aggressors), 2 * Q - 1)
     for row, aggressor in zip(profiles, aggressors):
         qdiff = aggressor.fo_index - victim.fo_index
-        sliced = row[qdiff + Q - 1]
-        assert sliced == pytest.approx(direct.per_aggressor[aggressor.link_id], rel=1e-9)
+        rel_delay = (aggressor.timing_offset - victim.timing_offset) % lattice.tau0
+        pair = cross_gaussian.cci_energy_profile(
+            realizations[(aggressor.link_id, 0)], rel_delay)
+        assert np.array_equal(row, pair)
+        assert direct.per_aggressor[aggressor.link_id] == row[qdiff + Q - 1]
 
 
 def test_scenario_sum_capacity_matches_profile_route(lattice, cross_gaussian):
-    scenario, realizations = build_scenario(lattice, 4, seed=79)
+    scenario, realizations = build_scenario(4, seed=79)
     # The evaluator holds the first link at FO 0.
     scenario.set_fo_index(scenario.links[0], 0)
     energies = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0)
@@ -315,7 +332,7 @@ def test_scenario_sum_capacity_matches_profile_route(lattice, cross_gaussian):
 
 
 def test_infinite_snr_zeroes_the_noise_floor(lattice, cross_gaussian):
-    scenario, realizations = build_scenario(lattice, 3, seed=80)
+    scenario, realizations = build_scenario(3, seed=80)
     energies = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=math.inf)
     assert np.all(energies.noise == 0.0)
 
@@ -324,7 +341,7 @@ def test_ensemble_evaluator_averages_per_drop_capacities(lattice, cross_gaussian
     drops = []
     per_drop = []
     for seed in (101, 102, 103):
-        scenario, realizations = build_scenario(lattice, 3, seed=seed)
+        scenario, realizations = build_scenario(3, seed=seed)
         for link, q in zip(scenario.links, (0, 2, 7)):
             scenario.set_fo_index(link, q)
         drop = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0)

@@ -1,6 +1,7 @@
 """Scenario generation, the 3 dB counting rule, and the entry protocol."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,27 +9,46 @@ from hypothesis import given, settings, strategies as st
 
 import potsim
 from potsim import (
-    FixedAssignmentPolicy,
+    ExperimentConfig,
     Link,
     NetworkScenario,
     ParameterError,
     PolicyUnavailableError,
     entry_sequence,
-    generate_scenario,
+    generate_drop,
     sample_point_near,
     update_aggressor_count,
 )
+from potsim.network import FixedAssignmentPolicy
+
+#: Default geometry: a 1 km square, 100 m links, the 200 kHz 12x12 lattice.
+CONFIG = ExperimentConfig(experiment="capacity_vs_aggressors")
 
 
-def make_link(link_id, rank, fo_index=0, fo_step=1.0):
+def make_link(link_id, rank):
     return Link(link_id=link_id, tp_position=(0.0, 0.0), rp_position=(1.0, 0.0),
-                entry_rank=rank, fo=fo_index * fo_step)
+                entry_rank=rank)
 
 
-def fresh_scenario(num_links, seed=0, lattice=None, **kwargs):
-    lattice = lattice or potsim.LatticeConfig.for_bandwidth(200e3, 12, 12)
-    return generate_scenario(num_links, 1000.0, 100.0,
-                             np.random.default_rng(seed), lattice, **kwargs)
+def fresh_scenario(num_links, seed=0):
+    """A drop of num_links links that enter in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    scenario = generate_drop(CONFIG, num_links - 1, rng)
+    for link, rank in zip(scenario.links, rng.permutation(num_links) + 1):
+        link.entry_rank = int(rank)
+    return scenario
+
+
+def recording_policy(fallback):
+    """A fixed policy that lists, in order, the counts it is consulted at."""
+    fixed = FixedAssignmentPolicy({}, fallback=fallback)
+    consulted = []
+
+    def fo_assignment(count):
+        consulted.append(count)
+        return fixed.fo_assignment(count)
+
+    return types.SimpleNamespace(fo_assignment=fo_assignment), consulted
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +61,8 @@ def test_scenario_respects_area_and_range_bounds(lattice):
         for coord in (*link.tp_position, *link.rp_position):
             assert 0.0 <= coord <= 1000.0
         assert 0.0 < link.length <= 100.0
-        assert link.fo == 0.0
+        assert link.fo_index == 0
         assert 0.0 <= link.timing_offset < lattice.tau0
-
-
-def test_entry_ranks_are_a_permutation():
-    scenario = fresh_scenario(20, seed=1)
-    assert sorted(link.entry_rank for link in scenario.links) == list(range(1, 21))
 
 
 def test_single_link_scenario_has_no_aggressors():
@@ -163,29 +178,29 @@ def test_noiseless_counting_converges_to_true_aggressor_number(num_links):
         assert link.aggressor_count == num_links - 1
 
 
-def test_trace_counts_equal_number_of_links_present_at_entry():
+def test_consulted_counts_equal_number_of_links_present_at_entry():
     scenario = fresh_scenario(5, seed=9)
-    policy = FixedAssignmentPolicy({}, fallback=tuple(range(8)))
-    trace = entry_sequence(scenario, policy)
-    assert [event.aggressor_count for event in trace] == [0, 1, 2, 3, 4]
+    policy, consulted = recording_policy(tuple(range(8)))
+    entry_sequence(scenario, policy)
+    # The first entrant hears nobody and never consults the policy.
+    assert consulted == [1, 2, 3, 4]
 
 
 def test_sole_link_keeps_zero_offset():
     scenario = fresh_scenario(1)
-    trace = entry_sequence(scenario, FixedAssignmentPolicy({}, fallback=(3,)))
-    assert len(trace) == 1
-    assert trace[0].fo == 0.0
+    policy, consulted = recording_policy((3,))
+    entry_sequence(scenario, policy)
+    assert consulted == []
+    assert scenario.links[0].fo_index == 0
 
 
-def test_two_links_end_with_distinct_quantized_offsets(lattice):
+def test_two_links_end_with_distinct_quantized_offsets():
     scenario = fresh_scenario(2, seed=5)
     policy = FixedAssignmentPolicy({1: (4,)})
     entry_sequence(scenario, policy)
     first, second = scenario.by_entry_order()
-    assert first.fo == 0.0
-    assert second.fo != first.fo
-    ratio = (second.fo - first.fo) / (lattice.nu0 / 8.0)
-    assert ratio == pytest.approx(round(ratio), abs=1e-9)
+    assert first.fo_index == 0
+    assert second.fo_index == 4
 
 
 def test_second_entrant_ends_with_two_aggressors_and_its_own_offset():
@@ -194,7 +209,7 @@ def test_second_entrant_ends_with_two_aggressors_and_its_own_offset():
     entry_sequence(scenario, policy)
     by_order = scenario.by_entry_order()
     assert by_order[1].aggressor_count == 2
-    assert by_order[1].fo != by_order[0].fo
+    assert by_order[1].fo_index != by_order[0].fo_index
 
 
 def test_no_duplicate_offsets_while_unclaimed_offsets_remain():
@@ -210,9 +225,10 @@ def test_no_duplicate_offsets_while_unclaimed_offsets_remain():
 def test_replaying_the_sequence_is_idempotent():
     scenario = fresh_scenario(4, seed=21)
     policy = FixedAssignmentPolicy({}, fallback=(1, 5, 3))
-    first = entry_sequence(scenario, policy)
-    second = entry_sequence(scenario, policy)
-    assert first == second
+    assert entry_sequence(scenario, policy) is None
+    first = [link.fo_index for link in scenario.links]
+    entry_sequence(scenario, policy)
+    assert [link.fo_index for link in scenario.links] == first
     for link in scenario.links:
         assert link.aggressor_count == 3
 
@@ -220,7 +236,7 @@ def test_replaying_the_sequence_is_idempotent():
 def test_full_overlap_baseline_keeps_all_offsets_at_zero():
     scenario = fresh_scenario(6, seed=8)
     entry_sequence(scenario, None)
-    assert all(link.fo == 0.0 for link in scenario.links)
+    assert all(link.fo_index == 0 for link in scenario.links)
     assert all(link.aggressor_count == 5 for link in scenario.links)
 
 
@@ -234,7 +250,7 @@ def test_missing_count_level_raises_policy_unavailable():
 def test_event_isolated_measure_drives_the_counters():
     # A measurement hook that only reports a drop when the entrant is within
     # 300 m of the observer's receiver; distant entries go unnoticed.
-    scenario = fresh_scenario(6, seed=30, fo_quantum=8)
+    scenario = fresh_scenario(6, seed=30)
 
     def measure(observer, entrant):
         d = np.hypot(observer.rp_position[0] - entrant.tp_position[0],
@@ -249,6 +265,8 @@ def test_event_isolated_measure_drives_the_counters():
             and np.hypot(link.rp_position[0] - other.tp_position[0],
                          link.rp_position[1] - other.tp_position[1]) <= 300.0)
         assert link.aggressor_count == nearby
+    # Some entries went unnoticed, so the hook, not the link count, decided.
+    assert min(link.aggressor_count for link in scenario.links) < 5
 
 
 def test_fixed_policy_falls_back_then_refuses():

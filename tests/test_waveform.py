@@ -320,7 +320,7 @@ def test_iota_stays_close_to_gaussian_away_from_lattice_points(lattice):
 
 
 def unit_tap():
-    return potsim.ChannelRealization(link_id=(1, 0), path_gain=1.0,
+    return potsim.ChannelRealization(path_gain=1.0,
                                      tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
 
 
@@ -349,7 +349,7 @@ def test_cross_ambiguity_block_vanishes_beyond_combined_span(cross_gaussian):
 
 
 def test_cci_profile_columns_match_single_offset_energies(cross_gaussian, rng):
-    realization = potsim.ChannelRealization(link_id=(1, 0), path_gain=0.5,
+    realization = potsim.ChannelRealization(path_gain=0.5,
                                             tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
     delay = 0.42 * cross_gaussian.lattice.tau0
     profile = cross_gaussian.cci_energy_profile(realization, delay)
@@ -385,8 +385,7 @@ def nan_to_num_convolved_full(cross, realization, rel_delay):
 
 def epa_realization(seed):
     model = potsim.ChannelModel.epa(800e6)
-    return potsim.realize_channel(model, 150.0, np.random.default_rng(seed),
-                                  link_id=(1, 0))
+    return potsim.realize_channel(model, 150.0, np.random.default_rng(seed))
 
 
 def test_convolved_full_is_finite_and_zero_beyond_the_span(cross_gaussian):
@@ -431,13 +430,13 @@ def test_own_channel_memo_returns_the_oracle_bit_for_bit(family, kind, lattice):
     cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
     model = potsim.ChannelModel.of_kind(kind, 800e6)
     rng = np.random.default_rng(21)
-    first = potsim.realize_channel(model, 150.0, rng, link_id=(0, 0))
+    first = potsim.realize_channel(model, 150.0, rng)
     taps = len(first.tap_delays)
     # The same tap delays with other gains and path gains share one entry.
-    others = [potsim.realize_channel(model, distance, rng, link_id=(1, 1))
+    others = [potsim.realize_channel(model, distance, rng)
               for distance in (3.0, 700.0)]
     others += [potsim.ChannelRealization(
-        link_id=(2, 2), path_gain=path_gain, tap_delays=first.tap_delays,
+        path_gain=path_gain, tap_delays=first.tap_delays,
         tap_gains=rng.standard_normal(taps) + 1j * rng.standard_normal(taps))
         for path_gain in (0.37, 2e-9)]
     for realization in [first, first] + others:
@@ -452,19 +451,20 @@ def test_own_channel_memo_keeps_one_entry_per_tap_delay_vector(family, lattice):
     pulse = filter_factory(family, 0.2)
     cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
     tau0 = lattice.tau0
-    awgn = potsim.realize_channel(potsim.ChannelModel.awgn(800e6), 90.0, 1)
+    awgn = potsim.realize_channel(potsim.ChannelModel.awgn(800e6), 90.0,
+                                  np.random.default_rng(1))
     epa = [epa_realization(seed) for seed in (3, 4)]
     for realization in (awgn, epa[0]):
         cross.convolved_full(realization, 0.3 * tau0)
     beyond = potsim.ChannelRealization(
-        link_id=(0, 0), path_gain=1.0, tap_delays=(cross.max_lag * tau0,),
+        path_gain=1.0, tap_delays=(cross.max_lag * tau0,),
         tap_gains=(1.0,))
     with pytest.raises(ParameterError):
         cross.convolved_full(beyond, 0.0)
     assert cross._own_values == {}
     # One tap, like AWGN's, but at another delay.
     late = potsim.ChannelRealization(
-        link_id=(1, 0), path_gain=0.5, tap_delays=(0.25 * tau0,),
+        path_gain=0.5, tap_delays=(0.25 * tau0,),
         tap_gains=(0.3 + 0.4j,))
     for realization in (awgn, epa[0], late, awgn, epa[1], late):
         assert np.array_equal(cross.convolved_full(realization, 0.0),
@@ -512,7 +512,7 @@ def count_general_path_calls(monkeypatch, cross):
 def test_single_tap_profile_matches_the_spline_oracle(cross_family, monkeypatch):
     tau0 = cross_family.lattice.tau0
     realization = potsim.ChannelRealization(
-        link_id=(1, 0), path_gain=0.37, tap_delays=(0.0,),
+        path_gain=0.37, tap_delays=(0.0,),
         tap_gains=(0.6 - 0.9j,))
     rate = cross_family.rx_filter.sample_rate
     delays = np.concatenate((
@@ -547,7 +547,7 @@ def test_single_tap_beyond_one_symbol_takes_the_spline_route(
     # Delays outside [0, tau0] would extrapolate the kernel's polynomials.
     tau0 = cross_gaussian.lattice.tau0
     realization = potsim.ChannelRealization(
-        link_id=(1, 0), path_gain=2.0, tap_delays=(tap_delay * tau0,),
+        path_gain=2.0, tap_delays=(tap_delay * tau0,),
         tap_gains=(0.5 + 0.5j,))
     calls = count_general_path_calls(monkeypatch, cross_gaussian)
     profile = cross_gaussian.cci_energy_profile(realization, rel_delay * tau0)
