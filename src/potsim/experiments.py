@@ -56,11 +56,21 @@ _INTEGER_FIELDS = ("num_drops", "num_aggressors", "num_subcarriers",
                    "num_symbols", "sample_rate", "fo_quantum", "seed",
                    "surface_resolution")
 
+#: Config fields that hold a real number.
+_REAL_FIELDS = ("filter_param", "snr_db", "bandwidth", "carrier_freq",
+                "lattice_density", "outage_threshold_db", "area_side",
+                "max_link_range", "interference_radius", "surface_extent")
+
 
 def _require_integer(name: str, value) -> None:
     # bool is an Integral too, but ``true`` in a JSON config is a typo.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,8 @@ class ExperimentConfig:
             _require_integer(name, getattr(self, name))
         for value in self.aggressor_grid:
             _require_integer("aggressor_grid entries", value)
+        for name in _REAL_FIELDS:
+            _require_real(name, getattr(self, name))
         object.__setattr__(self, "filters",
                            tuple(str(f).lower() for f in self.filters))
         if not self.filters:

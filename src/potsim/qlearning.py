@@ -44,6 +44,10 @@ class Hyperparams:
     tolerance: float = 1e-4
 
     def __post_init__(self):
+        for name in ("episodes", "ensemble", "steps_per_episode"):
+            if not _is_int(getattr(self, name)):
+                raise ParameterError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ParameterError("beta must lie in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
@@ -338,38 +342,64 @@ def _read_count(data, count: int) -> dict:
 
 def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
                      rng: np.random.Generator) -> bool:
+    """Epsilon-greedy episodes from the all-zero state; True once an
+    episode's largest update falls below the tolerance.
+
+    A step's update waits until its row is read: each step records
+    (row, action, state, next state, next row), and a flush evaluates the
+    capacities of the recorded states not seen before in one batch query,
+    then applies the updates in step order. The walk flushes at the end of
+    every episode and before a greedy step reads a row with a pending update,
+    so every value, and every row created, is the one a step-by-step update
+    gives.
+    """
     hp = table.hyperparams
     steps = hp.steps(table.fo_quantum)
     num_actions = table.num_actions(count)
-    capacity_cache = {}
+    entry = (0,) * count
+    capacity = {entry: evaluator.mean_sum_capacity(entry)}
+    # Rows with a pending update are kept by identity: an int hashes faster
+    # than a state tuple.
+    pending, pending_rows = [], set()
 
-    def mean_capacity(state):
-        capacity = capacity_cache.get(state)
-        if capacity is None:
-            capacity = capacity_cache[state] = evaluator.mean_sum_capacity(state)
-        return capacity
+    def flush(sweep_delta):
+        missing = list(dict.fromkeys(next_state for *_, next_state, _ in pending
+                                     if next_state not in capacity))
+        if missing:
+            capacity.update(zip(missing, evaluator._mean_sum_capacities(missing)))
+        # Recorded steps are consecutive: each starts where the last ended.
+        cap_prev = capacity[pending[0][2]]
+        for values, action, _, next_state, next_values in pending:
+            cap_now = capacity[next_state]
+            step_reward = reward(cap_now, cap_prev, hp.lambda1)
+            max_next = float(next_values.max())
+            old = float(values[action])
+            new = q_update(old, step_reward, max_next, hp.beta, hp.gamma)
+            values[action] = new
+            sweep_delta = max(sweep_delta, abs(new - old))
+            cap_prev = cap_now
+        pending.clear()
+        pending_rows.clear()
+        return sweep_delta
 
     for episode in range(hp.episodes):
         eps = hp.epsilon(episode)
-        state = (0,) * count
-        cap_prev = mean_capacity(state)
+        state = entry
         sweep_delta = 0.0
         for _ in range(steps):
             values = table.values_for(count, state)
             if rng.random() < eps:
                 action = int(rng.integers(num_actions))
             else:
+                if id(values) in pending_rows:
+                    sweep_delta = flush(sweep_delta)
                 action = int(values.argmax())
             next_state = table.action_effect(state, action)
-            cap_now = mean_capacity(next_state)
-            step_reward = reward(cap_now, cap_prev, hp.lambda1)
-            max_next = float(table.values_for(count, next_state).max())
-            old = float(values[action])
-            new = q_update(old, step_reward, max_next, hp.beta, hp.gamma)
-            values[action] = new
-            sweep_delta = max(sweep_delta, abs(new - old))
-            state, cap_prev = next_state, cap_now
-        if sweep_delta < hp.tolerance:
+            pending.append((values, action, state, next_state,
+                            table.values_for(count, next_state)))
+            pending_rows.add(id(values))
+            state = next_state
+        if flush(sweep_delta) < hp.tolerance:
             return True
     return False
 

@@ -297,6 +297,51 @@ def test_cli_rejects_a_non_integer_count_or_index(tmp_path, capsys, field,
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("snr_db", "ten"), ("snr_db", True), ("outage_threshold_db", "x"),
+    ("filter_param", None), ("carrier_freq", [800e6])])
+def test_cli_rejects_a_real_field_that_is_not_a_number(tmp_path, capsys, field,
+                                                       value):
+    # "ten" and "x" once failed with exit 1 after the run had started; true
+    # ran as 1.0.
+    data = quick_config(overlap_mode="full_overlap").to_dict()
+    data[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("config,digest", [
+    ({"experiment": "capacity_vs_aggressors"}, "52ab15720e92"),
+    ({"experiment": "capacity_vs_snr", "snr_db": 10, "bandwidth": 200000,
+      "snr_grid": [0, 5, 10]}, "032b86c86d22"),
+    ({"experiment": "outage_vs_aggressors", "outage_threshold_db": -6,
+      "filter_param": 1}, "714d2c6ae2f0")])
+def test_number_checks_leave_the_config_hash_alone(config, digest):
+    # Integers in real fields stay as written, so their hash is unchanged.
+    assert ExperimentConfig.from_dict(config).config_hash() == digest
+
+
+@pytest.mark.parametrize("field,value", [
+    ("episodes", 2.5), ("ensemble", 2.0), ("steps_per_episode", 1.5),
+    ("episodes", True), ("ensemble", "4")])
+def test_cli_run_rejects_a_non_integer_training_budget(tmp_path, capsys, field,
+                                                       value):
+    # 2.5 once crashed training with a TypeError (exit 1); true trained one
+    # episode.
+    data = quick_config().to_dict()
+    data["train_overrides"] = {**data["train_overrides"], field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--train-if-missing"]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_cli_reports_missing_artifacts(tmp_path):
     config = quick_config(train_if_missing=False)
     path = write_config(tmp_path, config)

@@ -28,6 +28,7 @@ from potsim import (
     sinr_linear,
     victim_energy_tables,
 )
+from potsim import interference
 from potsim.interference import profile_at
 
 Q = 8
@@ -394,6 +395,60 @@ def test_mean_sum_capacity_is_bit_identical_to_the_gather_oracle(count):
         for state in wrap + random_states:
             assert (evaluator.mean_sum_capacity(state)
                     == take_along_axis_capacity(evaluator, state))
+
+
+def random_walk(count, rng, length=300):
+    """Training-like states: repeats, no-ops, one-link steps with
+    wraparound, multi-link jumps and returns to the all-zero state."""
+    state = [0] * count
+    states = []
+    for _ in range(length):
+        move = rng.integers(5)
+        if move == 1:
+            link = rng.integers(count)
+            state[link] = int((state[link] + rng.choice((-1, 1))) % Q)
+        elif move == 2:
+            for link in rng.choice(count, size=rng.integers(1, count + 1)):
+                state[link] = int(rng.integers(Q))
+        elif move == 3:
+            state = [0] * count
+        states.append(tuple(state))
+    return states
+
+
+@pytest.mark.parametrize("route", ["whole", "row by row"])
+@pytest.mark.parametrize("count,ensemble", [(1, 3), (5, 4), (12, 20), (30, 4)])
+def test_batch_query_is_bit_identical_to_the_gather_oracle(monkeypatch, route,
+                                                            count, ensemble):
+    monkeypatch.setattr(interference, "_WHOLE_GATHER_CELLS",
+                        math.inf if route == "whole" else 0)
+    rng = np.random.default_rng([count, ensemble])
+    for floor in (0.1, 0.0):
+        drops = [random_drop(count + 1, rng, floor) for _ in range(ensemble)]
+        if floor == 0.0:
+            # Without E_SI and noise, zero cells at every even FO difference
+            # leave a zero denominator wherever a link's differences are
+            # all even: the all-zero state at least.
+            for drop in drops:
+                drop.cci[:, :, 1::2] = 0.0
+        evaluator = EnsembleEvaluator(drops)
+        states = random_walk(count, rng)
+        capacities = []
+        start = 0
+        while start < len(states):
+            # One-row batches, repeats within a batch and across batches.
+            size = int(rng.choice((1, 1, 2, 7, 40)))
+            batch = states[start:start + size]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = evaluator._mean_sum_capacities(batch)
+            assert got == [take_along_axis_capacity(evaluator, state)
+                           for state in batch]
+            capacities += got
+            start += size
+        assert any(map(math.isinf, capacities)) == (floor == 0.0)
+        assert (evaluator.mean_sum_capacity(states[-1])
+                == take_along_axis_capacity(evaluator, states[-1]))
 
 
 def test_zero_noise_and_zero_self_interference_give_infinite_capacity():

@@ -22,7 +22,7 @@ from potsim import (
     train,
 )
 from potsim.experiments import ExperimentConfig, scenario_family
-from potsim.qlearning import q_update, reward
+from potsim.qlearning import _train_one_count, q_update, reward
 
 Q = 8
 
@@ -507,3 +507,99 @@ def test_trained_table_drives_the_entry_protocol():
     offsets = [link.fo_index for link in scenario.links]
     assert all(0 <= q < Q for q in offsets)
     assert len(set(offsets)) == len(offsets)
+
+
+# ---------------------------------------------------------------------------
+# deferred updates against the step-by-step walk
+
+
+def step_by_step_train_one_count(table, count, evaluator, rng):
+    """The training walk that queries each step's capacity and updates its
+    row at once: the oracle of ``_train_one_count``."""
+    hp = table.hyperparams
+    steps = hp.steps(table.fo_quantum)
+    num_actions = table.num_actions(count)
+    capacity_cache = {}
+
+    def mean_capacity(state):
+        capacity = capacity_cache.get(state)
+        if capacity is None:
+            capacity = capacity_cache[state] = evaluator.mean_sum_capacity(state)
+        return capacity
+
+    for episode in range(hp.episodes):
+        eps = hp.epsilon(episode)
+        state = (0,) * count
+        cap_prev = mean_capacity(state)
+        sweep_delta = 0.0
+        for _ in range(steps):
+            values = table.values_for(count, state)
+            if rng.random() < eps:
+                action = int(rng.integers(num_actions))
+            else:
+                action = int(values.argmax())
+            next_state = table.action_effect(state, action)
+            cap_now = mean_capacity(next_state)
+            step_reward = reward(cap_now, cap_prev, hp.lambda1)
+            max_next = float(table.values_for(count, next_state).max())
+            old = float(values[action])
+            new = q_update(old, step_reward, max_next, hp.beta, hp.gamma)
+            values[action] = new
+            sweep_delta = max(sweep_delta, abs(new - old))
+            state, cap_prev = next_state, cap_now
+        if sweep_delta < hp.tolerance:
+            return True
+    return False
+
+
+def random_energies(num_links, rng):
+    """Drop energy tables with independent random entries in every cell."""
+    return types.SimpleNamespace(
+        link_ids=list(range(num_links)), fo_quantum=Q,
+        cci=rng.exponential(size=(num_links, num_links, 2 * Q - 1)),
+        e_signal=rng.exponential(size=num_links),
+        e_self=rng.exponential(0.1, size=num_links),
+        noise=rng.exponential(0.1, size=num_links))
+
+
+def train_both_ways(count, hp):
+    """(deferred, step-by-step) tables for one count on the same drops."""
+    rng = np.random.default_rng([count, hp.ensemble])
+    drops = [random_energies(count + 1, rng) for _ in range(hp.ensemble)]
+    tables = []
+    for walk in (_train_one_count, step_by_step_train_one_count):
+        table = QTable(fo_quantum=Q, hyperparams=hp)
+        table.converged[count] = walk(table, count, EnsembleEvaluator(drops),
+                                      np.random.default_rng(7))
+        tables.append(table)
+    return tables
+
+
+def assert_bit_identical(got, want):
+    assert got.converged == want.converged
+    assert list(got.per_count) == list(want.per_count)
+    for count, rows in want.per_count.items():
+        # Insertion order too: it is the order states were first touched.
+        assert list(got.per_count[count]) == list(rows)
+        assert ([values.tobytes() for values in got.per_count[count].values()]
+                == [values.tobytes() for values in rows.values()])
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0])
+@pytest.mark.parametrize("ensemble", [1, 4, 20])
+@pytest.mark.parametrize("count", [1, 3, 12])
+def test_deferred_updates_train_the_step_by_step_table(count, ensemble, beta):
+    hp = Hyperparams(ensemble=ensemble, episodes=25, beta=beta,
+                     epsilon_end=0.3, gamma=0.95)
+    assert_bit_identical(*train_both_ways(count, hp))
+
+
+@pytest.mark.parametrize("count", [1, 3, 12])
+def test_deferred_updates_stop_at_the_step_by_step_episode(count):
+    # A greedy tail lets the largest update fall below the tolerance
+    # before the episode budget runs out.
+    hp = Hyperparams(ensemble=4, episodes=60, beta=1.0, epsilon_start=0.3,
+                     epsilon_end=0.0, gamma=0.5, tolerance=1e-3)
+    deferred, step_by_step = train_both_ways(count, hp)
+    assert step_by_step.converged == {count: True}
+    assert_bit_identical(deferred, step_by_step)
