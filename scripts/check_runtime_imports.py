@@ -2,7 +2,9 @@
 
 Imports potsim and its CLI, then for every filter family builds a
 CrossAmbiguity, one AWGN and one EPA ScenarioEnergies drop and an ambiguity
-surface. Exits 1 and names the first few if any module called scipy or
+surface. It also trains a small policy (counts 1-2), saves and loads it,
+decodes every count, and runs a 2-drop capacity-vs-aggressors sweep on the
+loaded policy. Exits 1 and names the first few if any module called scipy or
 scipy.* was loaded on the way, 0 otherwise. With potsim installed, or from
 the repository root with PYTHONPATH=src:
 
@@ -10,13 +12,29 @@ the repository root with PYTHONPATH=src:
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 import potsim
 import potsim.cli  # noqa: F401  (the CLI's imports count too)
 from potsim.experiments import (CAPACITY_VS_AGGRESSORS, ExperimentConfig,
-                                export_ambiguity_surface, scenario_family)
+                                export_ambiguity_surface, scenario_family,
+                                train_policy)
+
+
+def exercise_policy_layer(out_dir: Path) -> None:
+    """Train, save, load and decode a policy, then sweep on it."""
+    config = ExperimentConfig(experiment=CAPACITY_VS_AGGRESSORS,
+                              filters=("gaussian",), aggressor_grid=(1, 2),
+                              num_drops=2, qtable_path=str(out_dir / "policy.npz"),
+                              train_overrides={"episodes": 2, "ensemble": 1})
+    train_policy(config, 2).save(config.qtable_path)
+    loaded = potsim.QTable.load(config.qtable_path)
+    for count in (1, 2):
+        loaded.fo_assignment(count)
+    potsim.run(config, out_dir / "run")
 
 
 def main() -> int:
@@ -30,6 +48,8 @@ def main() -> int:
                                       configs[0].fo_quantum)
         for config in configs:
             scenario_family(config, cross)(4, np.random.default_rng(1))
+    with tempfile.TemporaryDirectory() as tmp:
+        exercise_policy_layer(Path(tmp))
     loaded = sorted(name for name in sys.modules
                     if name == "scipy" or name.startswith("scipy."))
     if loaded:

@@ -73,6 +73,16 @@ def _require_real(name: str, value) -> None:
         raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
+def _snr_value(value) -> float:
+    # Strings such as "inf" parse: JSON has no infinity.
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"snr_grid entries must be numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run depends on, hashable into the outputs."""
@@ -114,6 +124,10 @@ class ExperimentConfig:
             _require_integer("aggressor_grid entries", value)
         for name in _REAL_FIELDS:
             _require_real(name, getattr(self, name))
+        for name, kind in (("qtable_path", str), ("train_if_missing", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
         object.__setattr__(self, "filters",
                            tuple(str(f).lower() for f in self.filters))
         if not self.filters:
@@ -129,7 +143,7 @@ class ExperimentConfig:
         if self.num_drops < 1:
             raise ConfigError("num_drops must be at least 1")
         object.__setattr__(self, "snr_grid",
-                           tuple(float(v) for v in self.snr_grid))
+                           tuple(_snr_value(v) for v in self.snr_grid))
         object.__setattr__(self, "aggressor_grid",
                            tuple(int(v) for v in self.aggressor_grid))
         for grid, name in ((self.snr_grid, "snr_grid"),
@@ -185,14 +199,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in data:
             raise ConfigError("config must name an experiment")
-        coerced = dict(data)
-        if "snr_grid" in coerced:
-            coerced["snr_grid"] = tuple(float(v) for v in coerced["snr_grid"])
-        for key in ("filters", "aggressor_grid"):
-            if key in coerced:
-                coerced[key] = tuple(coerced[key])
         try:
-            return cls(**coerced)
+            return cls(**data)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -471,10 +479,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
 
     Returns the summary dict; its ``qtable.trained_now`` and
     ``qtable.not_converged_counts`` fields let callers distinguish a clean
-    run from one that had to train a policy that did not converge. The run
-    decodes each aggressor count once, so
-    ``qtable.fallback_events_during_run`` counts the nearest-state
-    fallbacks of those decodes, not of every entry.
+    run from one that had to train a policy that did not converge.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -500,7 +505,6 @@ def run(config: ExperimentConfig, out_dir) -> dict:
                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
                 "trained_now": trained_now,
                 "not_converged_counts": not_converged,
-                "fallback_events": table.fallback_events,
             }
             if not_converged:
                 summary["warnings"].append(
@@ -509,9 +513,6 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         rows = _sweep(config, policy)
         payload = write_results_csv(out_dir / "results.csv", rows, config_hash)
         summary["outputs"]["results.csv"] = hashlib.sha256(payload).hexdigest()
-        if summary["qtable"] is not None:
-            summary["qtable"]["fallback_events_during_run"] = (
-                policy.fallback_events - summary["qtable"]["fallback_events"])
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     (out_dir / "summary.json").write_text(summary_text, encoding="utf-8")
     return summary

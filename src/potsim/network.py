@@ -177,13 +177,7 @@ def _prescribed_indices(policy, count: int, fo_quantum: int) -> list:
     if not indices:
         raise PolicyUnavailableError(f"policy returned no offsets for count {count}")
     # Deduplicate preserving order so claim bookkeeping sees each value once.
-    seen = set()
-    unique = []
-    for q in indices:
-        if q not in seen:
-            seen.add(q)
-            unique.append(q)
-    return unique
+    return list(dict.fromkeys(indices))
 
 
 @dataclass

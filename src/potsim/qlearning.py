@@ -7,8 +7,9 @@ into FO prescriptions that the entry protocol hands to arriving links.
 """
 
 import json
+import numbers
 import zipfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +45,13 @@ class Hyperparams:
     tolerance: float = 1e-4
 
     def __post_init__(self):
-        for name in ("episodes", "ensemble", "steps_per_episode"):
-            if not _is_int(getattr(self, name)):
-                raise ParameterError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and not _is_int(value):
+                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is float and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Real)):
+                raise ParameterError(f"{f.name} must be a number, got {value!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ParameterError("beta must lie in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
@@ -86,14 +90,6 @@ def reward(capacity_now: float, capacity_prev: float, lambda1: float) -> float:
     return lambda1 * (capacity_now - capacity_prev)
 
 
-def _circular_l1(a, b, fo_quantum: int) -> int:
-    total = 0
-    for x, y in zip(a, b):
-        d = abs(x - y) % fo_quantum
-        total += min(d, fo_quantum - d)
-    return total
-
-
 @dataclass
 class QTable:
     """Per-aggressor-count state-action value tables.
@@ -101,13 +97,11 @@ class QTable:
     per_count maps S to a dict from state tuples (one quantized FO index per
     aggressor) to a value vector over the 2S + 1 actions: index 0 is the
     no-op, index 2j + 1 steps link j up by one FO quantum, index 2j + 2 steps
-    it down. fallback_events counts greedy lookups that had to borrow the
-    nearest trained state.
+    it down.
 
-    A table read back by ``load`` holds only the rows its decode reads (see
-    ``save``): it answers ``fo_assignment`` exactly as the trained table
-    does, but ``greedy`` on a state outside those rows borrows from that
-    smaller set, so it may pick another action than the trained table would.
+    A table read back by ``load`` holds only the trained rows of the greedy
+    walk (see ``save``), so it answers ``fo_assignment`` exactly as the
+    trained table does.
     """
 
     fo_quantum: int
@@ -115,7 +109,6 @@ class QTable:
     seed: int = 0
     per_count: dict = field(default_factory=dict)
     converged: dict = field(default_factory=dict)
-    fallback_events: int = 0
 
     def num_actions(self, count: int) -> int:
         return 2 * count + 1
@@ -141,20 +134,14 @@ class QTable:
         return values
 
     def greedy(self, count: int, state: tuple) -> int:
-        """Greedy action index, borrowing the nearest trained state if needed."""
+        """Greedy action index: the first maximum of the state's row.
+
+        PolicyUnavailableError when the count was never trained, KeyError
+        when the state has no row.
+        """
         if count not in self.per_count or not self.per_count[count]:
             raise PolicyUnavailableError(f"no trained table for count {count}")
-        sub = self.per_count[count]
-        state = tuple(int(q) % self.fo_quantum for q in state)
-        if state not in sub:
-            self.fallback_events += 1
-            state = self._nearest_trained(sub, state)
-        return int(np.argmax(sub[state]))
-
-    def _nearest_trained(self, sub: dict, state: tuple) -> tuple:
-        """The first state of ``sorted(sub)`` circularly nearest ``state``."""
-        return min(sorted(sub),
-                   key=lambda cand: _circular_l1(cand, state, self.fo_quantum))
+        return int(np.argmax(self.per_count[count][state]))
 
     def fo_assignment(self, count: int) -> tuple:
         """Decode the trained table into an FO prescription for S aggressors.
@@ -163,10 +150,11 @@ class QTable:
         state. A no-op is the policy declaring the current state optimal, so
         the walk returns there. Rewards are capacity differences, which makes
         a state's value its remaining improvement rather than its quality;
-        if the walk cycles or exhausts its step cap instead of absorbing, the
-        visited state with the smallest value (least improvement left) is the
-        best candidate. Raises KeyError when the count was never trained so
-        callers can substitute their own fallback.
+        if the walk cycles, exhausts its step cap or reaches a state with no
+        row instead of absorbing, the trained visited state with the smallest
+        value (least improvement left) is the best candidate. Raises KeyError
+        when the count was never trained so callers can substitute their own
+        fallback.
         """
         if count < 1:
             raise ParameterError("aggressor count must be at least 1")
@@ -176,24 +164,20 @@ class QTable:
         visited, absorbed = self._rollout(count)
         if absorbed is not None:
             return absorbed
+        # A state with no row carries no evidence; it ranks after every
+        # trained state.
+        return min(visited, key=lambda cand: float(np.max(sub[cand]))
+                   if cand in sub else np.inf)
 
-        def improvement_left(cand):
-            # Untrained states carry no evidence; rank them after any
-            # trained state.
-            if cand not in sub:
-                return (1, 0.0)
-            return (0, float(np.max(sub[cand])))
-
-        return min(visited, key=improvement_left)
-
-    def _rollout(self, count: int, rows: set = None):
+    def _rollout(self, count: int):
         """The greedy walk ``fo_assignment`` decodes: (visited states in
-        order, the absorbing state or None when the walk cycles or runs out
-        of steps).
+        order, the absorbing state or None when the walk cycles, runs out of
+        steps or stops at a state with no row, which stays last in visited).
 
-        When ``rows`` is a set, it receives every state whose value vector
-        the decode reads: each trained visited state, and the trained state
-        ``greedy`` borrows for each untrained state it is asked about.
+        On a trained table the walk never stops there: a no-op's value never
+        falls below 0 (its reward is 0), so greedy takes either the no-op or
+        a positive value, which only a tried action holds, and each tried
+        action created its next state's row.
         """
         sub = self.per_count[count]
         state = (0,) * count
@@ -201,9 +185,9 @@ class QTable:
         seen = {state}
         absorbed = None
         for _ in range(2 * count * self.fo_quantum):
+            if state not in sub:
+                break
             action = self.greedy(count, state)
-            if rows is not None and state not in sub:
-                rows.add(self._nearest_trained(sub, state))
             if action == 0:
                 absorbed = state
                 break
@@ -212,24 +196,14 @@ class QTable:
                 break
             seen.add(state)
             visited.append(state)
-        if rows is not None:
-            rows.update(cand for cand in visited if cand in sub)
         return visited, absorbed
 
     def save(self, path) -> None:
-        """Write, per count, only the rows ``fo_assignment`` reads.
-
-        Those are the trained states of the greedy walk from the all-zero
-        state, plus the trained state ``greedy`` borrows for each untrained
-        state of the walk (see ``_rollout``). The loaded table therefore
-        decodes every count to the same prescription, with the same
-        fallbacks. ``fallback_events`` is left as it was.
+        """Write, per count, only the rows ``fo_assignment`` reads: the
+        trained states of the greedy walk from the all-zero state (see
+        ``_rollout``). The loaded table therefore decodes every count to the
+        same prescription.
         """
-        fallback_events = self.fallback_events
-        try:
-            rows = {count: self._decode_rows(count) for count in self.per_count}
-        finally:
-            self.fallback_events = fallback_events
         header = {
             "format": ARTIFACT_FORMAT,
             "version": ARTIFACT_VERSION,
@@ -238,25 +212,16 @@ class QTable:
             "hyperparams": asdict(self.hyperparams),
             "converged": {str(k): bool(v) for k, v in self.converged.items()},
             "counts": sorted(self.per_count),
-            "fallback_events": self.fallback_events,
         }
         arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-        for count, states in rows.items():
-            sub = self.per_count[count]
+        for count, sub in self.per_count.items():
+            states = sorted(s for s in self._rollout(count)[0] if s in sub)
             arrays[f"states_{count}"] = np.array(states, dtype=np.int64).reshape(
                 len(states), count)
             arrays[f"values_{count}"] = np.array(
                 [sub[s] for s in states], dtype=float).reshape(
                     len(states), self.num_actions(count))
         np.savez_compressed(path, **arrays)
-
-    def _decode_rows(self, count: int) -> list:
-        """Sorted states whose value vectors ``fo_assignment(count)`` reads."""
-        if not self.per_count[count]:
-            return []
-        rows = set()
-        self._rollout(count, rows)
-        return sorted(rows)
 
     @classmethod
     def load(cls, path) -> "QTable":
@@ -291,8 +256,7 @@ class QTable:
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"Q-table artifact hyperparams are invalid: {exc}") from exc
         table = cls(fo_quantum=header["fo_quantum"], hyperparams=hyperparams,
-                    seed=header["seed"],
-                    fallback_events=header.get("fallback_events", 0))
+                    seed=header["seed"])
         for count in header["counts"]:
             table.per_count[count] = _read_count(data, count)
             table.converged[count] = bool(
@@ -312,8 +276,8 @@ def _check_header(header: dict) -> None:
         raise ConfigError(f"Q-table artifact header lacks {', '.join(missing)}")
     if not _is_int(header["fo_quantum"]) or header["fo_quantum"] < 1:
         raise ConfigError("Q-table artifact fo_quantum must be a positive integer")
-    if not _is_int(header["seed"]) or not _is_int(header.get("fallback_events", 0)):
-        raise ConfigError("Q-table artifact seed and fallback_events must be integers")
+    if not _is_int(header["seed"]):
+        raise ConfigError("Q-table artifact seed must be an integer")
     counts = header["counts"]
     if not isinstance(counts, list) or not all(
             _is_int(count) and count >= 1 for count in counts):

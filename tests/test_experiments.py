@@ -89,6 +89,22 @@ def test_infinite_snr_parses_from_json_strings():
     assert math.isinf(config.snr_grid[-1])
 
 
+@pytest.mark.parametrize("value", [True, False, "ten", None, [1.0]])
+def test_snr_grid_entries_must_be_numbers(tmp_path, capsys, value):
+    # true once ran a 1.0 dB point.
+    with pytest.raises(ConfigError, match="snr_grid"):
+        ExperimentConfig(experiment="capacity_vs_snr", snr_grid=(-1.0, value))
+    data = {"experiment": "capacity_vs_snr", "snr_grid": [-1, value],
+            "overlap_mode": "full_overlap", "num_drops": 1}
+    with pytest.raises(ConfigError, match="snr_grid"):
+        ExperimentConfig.from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "snr_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_config_hash_tracks_every_field():
     a = quick_config()
     b = quick_config()
@@ -340,6 +356,41 @@ def test_cli_run_rejects_a_non_integer_training_budget(tmp_path, capsys, field,
                  "--train-if-missing"]) == 2
     assert field in capsys.readouterr().err
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beta", True), ("gamma", False), ("epsilon_start", "1"),
+    ("lambda1", None), ("tolerance", [1e-4])])
+def test_cli_run_rejects_a_real_training_knob_that_is_not_a_number(
+        tmp_path, capsys, field, value):
+    # true once trained with beta = 1 and false with gamma = 0.
+    data = quick_config().to_dict()
+    data["train_overrides"] = {**data["train_overrides"], field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--train-if-missing"]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("qtable_path", 5), ("qtable_path", None), ("qtable_path", ["policy"]),
+    ("train_if_missing", "no"), ("train_if_missing", 1),
+    ("train_if_missing", None)])
+def test_cli_run_rejects_a_mistyped_policy_field(tmp_path, capsys, field,
+                                                 value):
+    # 5 once failed with a TypeError (exit 1); "no" trained a policy.
+    data = quick_config(train_if_missing=False).to_dict()
+    data[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert not (out / "qtable.npz").exists()
 
 
 def test_cli_reports_missing_artifacts(tmp_path):

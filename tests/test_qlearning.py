@@ -78,6 +78,11 @@ def test_hyperparameter_ranges_are_enforced():
         Hyperparams(lambda1=0.0)
 
 
+def test_integer_values_of_real_knobs_stay_valid():
+    hp = Hyperparams(beta=1, gamma=0, epsilon_end=0, lambda1=10)
+    assert (hp.beta, hp.gamma, hp.epsilon_end, hp.lambda1) == (1, 0, 0, 10)
+
+
 def test_epsilon_anneals_linearly_between_its_endpoints():
     hp = Hyperparams(episodes=11, epsilon_start=1.0, epsilon_end=0.0)
     assert hp.epsilon(0) == pytest.approx(1.0)
@@ -130,16 +135,12 @@ def test_greedy_is_invariant_to_positive_scaling():
     assert table.greedy(1, (0,)) == before
 
 
-def test_unknown_state_borrows_the_circularly_nearest_neighbor():
+def test_greedy_on_a_state_without_a_row_is_a_key_error():
     table = QTable(fo_quantum=Q)
     table.per_count[1] = {(0,): np.array([0.0, 1.0, 0.0]),
                           (4,): np.array([0.0, 0.0, 1.0])}
-    assert table.fallback_events == 0
-    # (7,) wraps to distance 1 from (0,) but 3 from (4,).
-    assert table.greedy(1, (7,)) == 1
-    assert table.fallback_events == 1
-    assert table.greedy(1, (3,)) == 2
-    assert table.fallback_events == 2
+    with pytest.raises(KeyError):
+        table.greedy(1, (7,))
 
 
 def test_untrained_count_is_a_policy_error():
@@ -168,6 +169,19 @@ def test_decode_falls_back_to_least_remaining_improvement_on_cycles():
     sub = {(q,): np.array([0.0, float(Q - q), 0.5]) for q in range(Q)}
     table.per_count[1] = sub
     assert table.fo_assignment(1) == (7,)
+
+
+def test_decode_stops_at_the_first_state_without_a_row():
+    table = QTable(fo_quantum=Q)
+    # (0,) steps up to (1,) and (2,), which step up onto (3,): no row. (1,)
+    # has the least improvement left; (6,) is never visited.
+    table.per_count[1] = {(0,): np.array([0.0, 3.0, 0.0]),
+                          (1,): np.array([0.0, 2.0, 0.0]),
+                          (2,): np.array([0.0, 2.5, 0.0]),
+                          (6,): np.array([0.0, 0.0, 1.0])}
+    assert table._rollout(1) == ([(0,), (1,), (2,), (3,)], None)
+    assert table.fo_assignment(1) == (1,)
+    assert decode_reads(table, 1) == {(0,), (1,), (2,)}
 
 
 def test_decode_requires_a_trained_count():
@@ -200,9 +214,10 @@ def decode_reads(table, count):
 
 def walk_table():
     """Count 1 absorbs at (3,) after three steps up, with rows off the walk;
-    count 2 steps from (0, 0) onto untrained states and borrows rows."""
+    count 2 steps from (0, 0) onto (1, 0), which has no row, so it stops
+    there and decodes to (0, 0)."""
     table = QTable(fo_quantum=Q, hyperparams=Hyperparams(beta=0.25, episodes=7),
-                   seed=99, fallback_events=5)
+                   seed=99)
     table.per_count[1] = {(q,): (np.array([0.0, 1.0, -1.0]) if q < 3
                                  else np.array([1.0, 0.0, 0.0])) + 0.1 * q
                           for q in range(Q)}
@@ -218,14 +233,12 @@ def test_artifact_round_trips_exactly(tmp_path):
     table = walk_table()
     path = tmp_path / "table.npz"
     table.save(path)
-    assert table.fallback_events == 5
     loaded = QTable.load(path)
     assert loaded.fo_quantum == Q
     assert loaded.seed == 99
     assert loaded.hyperparams == table.hyperparams
     assert loaded.converged == {1: True, 2: False}
     assert sorted(loaded.per_count) == [1, 2]
-    assert loaded.fallback_events == 5
     for count, sub in loaded.per_count.items():
         assert set(sub) == decode_reads(table, count)
         for state, values in sub.items():
@@ -234,30 +247,46 @@ def test_artifact_round_trips_exactly(tmp_path):
             assert values.dtype == table.per_count[count][state].dtype
             assert np.array_equal(values, table.per_count[count][state])
     assert set(loaded.per_count[1]) == {(0,), (1,), (2,), (3,)}
+    assert set(loaded.per_count[2]) == {(0, 0)}
+    assert table._rollout(2) == ([(0, 0), (1, 0)], None)
+    assert table.fo_assignment(1) == (3,)
+    assert table.fo_assignment(2) == (0, 0)
     for count in (1, 2):
-        before = (table.fallback_events, loaded.fallback_events)
         assert loaded.fo_assignment(count) == table.fo_assignment(count)
-        assert (loaded.fallback_events - before[1]
-                == table.fallback_events - before[0])
 
 
-def test_artifact_stores_the_row_greedy_borrows_for_an_untrained_state(tmp_path):
+def test_artifact_stores_the_trained_rows_of_a_walk_that_stops(tmp_path):
     table = QTable(fo_quantum=Q)
-    # (0,) steps up onto untrained (1,), which borrows (0,) and steps up onto
-    # untrained (2,), which borrows (3,): a no-op, so the walk absorbs at
-    # (2,). (3,) is read but never visited; (6,) is never read.
-    table.per_count[1] = {(0,): np.array([0.0, 1.0, 0.0]),
-                          (3,): np.array([1.0, 0.0, 0.0]),
+    # (0,) steps up twice onto (2,), which has no row; (6,) is never read.
+    table.per_count[1] = {(0,): np.array([0.0, 2.0, 0.0]),
+                          (1,): np.array([0.0, 1.0, 0.0]),
                           (6,): np.array([0.0, 0.0, 1.0])}
-    assert table.fo_assignment(1) == (2,)
-    assert table.fallback_events == 2
+    assert table._rollout(1) == ([(0,), (1,), (2,)], None)
+    assert table.fo_assignment(1) == (1,)
     path = tmp_path / "table.npz"
     table.save(path)
-    assert table.fallback_events == 2
     loaded = QTable.load(path)
-    assert set(loaded.per_count[1]) == {(0,), (3,)}
-    assert loaded.fo_assignment(1) == (2,)
-    assert loaded.fallback_events == 2 + 2
+    assert set(loaded.per_count[1]) == decode_reads(table, 1) == {(0,), (1,)}
+    assert loaded._rollout(1) == table._rollout(1)
+    assert loaded.fo_assignment(1) == (1,)
+
+
+def test_artifact_with_a_fallback_events_header_key_still_loads(tmp_path):
+    """Artifacts written before the decode stopped at rowless states carry a
+    ``fallback_events`` count in their header; it is ignored."""
+    table = walk_table()
+    path = tmp_path / "table.npz"
+    table.save(path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    loaded = load_tampered(tmp_path,
+                           with_header(arrays, edited("fallback_events", 7)))
+    assert not hasattr(loaded, "fallback_events")
+    for count, sub in loaded.per_count.items():
+        assert set(sub) == decode_reads(table, count)
+        for state, values in sub.items():
+            assert np.array_equal(values, table.per_count[count][state])
+        assert loaded.fo_assignment(count) == table.fo_assignment(count)
 
 
 def test_full_artifact_in_the_earlier_layout_still_loads(tmp_path):
@@ -382,14 +411,16 @@ def edited(name, value):
     lambda header: {**header, "hyperparams": {**header["hyperparams"], "warp": 1}},
     edited("hyperparams", {"beta": 5.0}),
     edited("hyperparams", [0.1]),
+    edited("hyperparams", {"beta": True}),
     edited("counts", [1, 2.5]), edited("counts", ["1", "2"]),
     edited("counts", 2), edited("counts", [True, 2]),
     edited("fo_quantum", 8.0), edited("seed", "zero"),
     edited("converged", [True, False]),
 ], ids=["no_counts", "no_fo_quantum", "no_seed", "no_hyperparams",
         "no_converged", "list", "unknown_hyperparam", "bad_hyperparam",
-        "hyperparams_list", "float_count", "string_counts", "scalar_counts",
-        "bool_count", "float_fo_quantum", "string_seed", "converged_list"])
+        "hyperparams_list", "bool_hyperparam", "float_count", "string_counts",
+        "scalar_counts", "bool_count", "float_fo_quantum", "string_seed",
+        "converged_list"])
 def test_malformed_artifact_header_is_a_config_error(tmp_path, edit):
     arrays = with_header(saved_arrays(tmp_path), edit)
     with pytest.raises(ConfigError):
@@ -423,7 +454,8 @@ def test_artifact_version_and_format_are_checked(tmp_path):
 
 
 def synthetic_family(optimum=4, noise=0.5):
-    """Two-link drops whose capacity is maximized at one known FO index."""
+    """Drops whose two-link capacity is maximized at one known FO index;
+    with more links every pair couples the same way."""
 
     window = 2 * Q - 1
 
@@ -431,16 +463,15 @@ def synthetic_family(optimum=4, noise=0.5):
         qdiff = idx - (Q - 1)
         return 1.6 + 1.5 * np.cos(2.0 * np.pi * (qdiff - (optimum - 4)) / Q)
 
-    cci = np.zeros((2, 2, window))
-    cci[1, 0] = coupling(np.arange(window))
-    cci[0, 1] = coupling(2 * (Q - 1) - np.arange(window))
-
     def build(num_links, rng):
-        if num_links != 2:
-            raise AssertionError("synthetic landscape only covers one aggressor")
-        return types.SimpleNamespace(link_ids=[0, 1], fo_quantum=Q, cci=cci,
-                                     e_signal=np.ones(2), e_self=np.zeros(2),
-                                     noise=np.full(2, noise))
+        cci = np.zeros((num_links, num_links, window))
+        for first, second in itertools.combinations(range(num_links), 2):
+            cci[second, first] = coupling(np.arange(window))
+            cci[first, second] = coupling(2 * (Q - 1) - np.arange(window))
+        return types.SimpleNamespace(
+            link_ids=list(range(num_links)), fo_quantum=Q, cci=cci,
+            e_signal=np.ones(num_links), e_self=np.zeros(num_links),
+            noise=np.full(num_links, noise))
 
     return build
 
@@ -450,6 +481,26 @@ def test_training_finds_the_planted_optimum():
     for optimum in (2, 4, 6):
         table = train(synthetic_family(optimum=optimum), 1, hp, rng_seed=3)
         assert table.fo_assignment(1) == (optimum,)
+
+
+@given(counts=st.sets(st.integers(1, 3), min_size=1),
+       episodes=st.integers(1, 30),
+       beta=st.floats(0.0, 1.0, exclude_min=True),
+       gamma=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+       epsilon=st.sampled_from([(1.0, 0.05), (1.0, 1.0), (0.3, 0.0),
+                                (0.0, 0.0)]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_the_greedy_walk_of_a_trained_table_never_leaves_its_rows(
+        counts, episodes, beta, gamma, epsilon, seed):
+    # The decode stops at a state without a row; on a trained table it
+    # never meets one, so the artifact's rows are every row it reads.
+    hp = Hyperparams(ensemble=1, episodes=episodes, beta=beta, gamma=gamma,
+                     epsilon_start=epsilon[0], epsilon_end=epsilon[1])
+    table = train(synthetic_family(), 3, hp, rng_seed=seed, counts=counts)
+    for count in counts:
+        visited, _ = table._rollout(count)
+        assert all(state in table.per_count[count] for state in visited)
 
 
 def test_training_is_seed_deterministic():
