@@ -12,7 +12,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel import ChannelModel, realize_channel
-from .errors import ConfigError, MissingArtifactError, ParameterError
+from .errors import (ConfigError, MissingArtifactError, ParameterError,
+                     check_field_types, is_integer)
 from .interference import (InterferenceProfile, ScenarioEnergies, capacity,
                            multiuser_efficiency, outage, profile_at,
                            victim_energy_tables)
@@ -51,36 +51,17 @@ EXPERIMENT_METRICS = {
 
 CSV_HEADER = "grid_value,filter,mode,metric,mean,ci95,drops"
 
-#: Config fields that count or index something, so only an integer is valid.
-_INTEGER_FIELDS = ("num_drops", "num_aggressors", "num_subcarriers",
-                   "num_symbols", "sample_rate", "fo_quantum", "seed",
-                   "surface_resolution")
-
-#: Config fields that hold a real number.
-_REAL_FIELDS = ("filter_param", "snr_db", "bandwidth", "carrier_freq",
-                "lattice_density", "outage_threshold_db", "area_side",
-                "max_link_range", "interference_radius", "surface_extent")
-
-
-def _require_integer(name: str, value) -> None:
-    # bool is an Integral too, but ``true`` in a JSON config is a typo.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
 
 def _snr_value(value) -> float:
-    # Strings such as "inf" parse: JSON has no infinity.
+    # Strings such as "inf" parse: JSON has no infinity. An infinite SNR is
+    # noiseless; NaN and -inf are not SNRs.
     try:
-        if not isinstance(value, bool):
+        if not isinstance(value, bool) and float(value) > -math.inf:
             return float(value)
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"snr_grid entries must be numbers, got {value!r}")
+    raise ConfigError(f"snr_grid entries must be numbers above -inf, "
+                      f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,18 +97,15 @@ class ExperimentConfig:
     surface_resolution: int = 61
 
     def __post_init__(self):
+        check_field_types(self, ConfigError)
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for name in _INTEGER_FIELDS:
-            _require_integer(name, getattr(self, name))
-        for value in self.aggressor_grid:
-            _require_integer("aggressor_grid entries", value)
-        for name in _REAL_FIELDS:
-            _require_real(name, getattr(self, name))
-        for name, kind in (("qtable_path", str), ("train_if_missing", bool)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name} must be a {kind.__name__}, "
-                                  f"got {getattr(self, name)!r}")
+        try:
+            hyperparams = Hyperparams(**self.train_overrides)
+        except (TypeError, ParameterError) as exc:
+            raise ConfigError(f"invalid train_overrides: {exc}") from exc
+        object.__setattr__(self, "train_overrides", {
+            name: getattr(hyperparams, name) for name in self.train_overrides})
         object.__setattr__(self, "filters",
                            tuple(str(f).lower() for f in self.filters))
         if not self.filters:
@@ -135,7 +113,7 @@ class ExperimentConfig:
         for family in self.filters:
             if family not in FILTER_FAMILIES:
                 raise ConfigError(f"unknown filter family {family!r}")
-        object.__setattr__(self, "channel", str(self.channel).lower())
+        object.__setattr__(self, "channel", self.channel.lower())
         if self.channel not in ("awgn", "epa"):
             raise ConfigError(f"unknown channel kind {self.channel!r}")
         if self.overlap_mode not in OVERLAP_MODES + ("both",):
@@ -144,6 +122,9 @@ class ExperimentConfig:
             raise ConfigError("num_drops must be at least 1")
         object.__setattr__(self, "snr_grid",
                            tuple(_snr_value(v) for v in self.snr_grid))
+        if not all(is_integer(value) for value in self.aggressor_grid):
+            raise ConfigError(f"aggressor_grid entries must be integers, "
+                              f"got {list(self.aggressor_grid)!r}")
         object.__setattr__(self, "aggressor_grid",
                            tuple(int(v) for v in self.aggressor_grid))
         for grid, name in ((self.snr_grid, "snr_grid"),
@@ -154,6 +135,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be sorted ascending")
         if min(self.aggressor_grid) < 1:
             raise ConfigError("aggressor counts must be at least 1")
+        if self.snr_db == -math.inf:
+            raise ConfigError("snr_db must be above -inf")
         if self.filter_param <= 0:
             raise ConfigError("filter_param must be positive")
         if self.num_aggressors < 1:
@@ -183,11 +166,8 @@ class ExperimentConfig:
         return ChannelModel.of_kind(self.channel, self.carrier_freq)
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["filters"] = list(self.filters)
-        data["snr_grid"] = list(self.snr_grid)
-        data["aggressor_grid"] = list(self.aggressor_grid)
-        return data
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -199,10 +179,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in data:
             raise ConfigError("config must name an experiment")
-        try:
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
+        return cls(**data)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -312,10 +289,7 @@ def train_policy(config: ExperimentConfig, s_max: int) -> QTable:
     Drops are scored with the first configured filter, under
     ``config.train_overrides`` and the config seed.
     """
-    try:
-        hyperparams = Hyperparams(**config.train_overrides)
-    except TypeError as exc:
-        raise ConfigError(f"invalid train_overrides: {exc}") from exc
+    hyperparams = Hyperparams(**config.train_overrides)
     tx = filter_factory(config.filters[0], config.filter_param,
                         sample_rate=config.sample_rate,
                         density=config.lattice_density)
@@ -380,7 +354,7 @@ def _sweep(config: ExperimentConfig, policy) -> list:
             num_aggressors, snr_db = config.num_aggressors, grid_value
         else:
             num_aggressors, snr_db = int(grid_value), config.snr_db
-        snr_lin = math.inf if math.isinf(snr_db) else 10.0 ** (snr_db / 10.0)
+        snr_lin = 10.0 ** (snr_db / 10.0)
         for drop in range(config.num_drops):
             geometry_rng = np.random.default_rng([config.seed, g_idx, drop, 0])
             scenario = generate_drop(config, num_aggressors, geometry_rng)
@@ -394,7 +368,7 @@ def _sweep(config: ExperimentConfig, policy) -> list:
             for family in config.filters:
                 e_signal, e_self, profiles = victim_energy_tables(
                     victim, aggressors, realizations, evaluators[family])
-                noise_var = 0.0 if math.isinf(snr_lin) else e_signal / snr_lin
+                noise_var = e_signal / snr_lin
                 for mode in config.modes:
                     profile = profile_at(e_signal, e_self, profiles, aggressors,
                                          qdiffs[mode], noise_var)

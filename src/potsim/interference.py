@@ -181,8 +181,6 @@ class ScenarioEnergies:
                 victim_energy_tables(victim, others, realizations, cross_amb))
         if snr_db is None:
             self.noise = np.full(count, float(noise_var))
-        elif math.isinf(snr_db):
-            self.noise = np.zeros(count)
         else:
             self.noise = self.e_signal / (10.0 ** (snr_db / 10.0))
 

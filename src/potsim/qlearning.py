@@ -7,14 +7,14 @@ into FO prescriptions that the entry protocol hands to arriving links.
 """
 
 import json
-import numbers
 import zipfile
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, PolicyUnavailableError
+from .errors import (ConfigError, ParameterError, PolicyUnavailableError,
+                     check_field_types, is_integer)
 from .interference import EnsembleEvaluator
 
 ARTIFACT_FORMAT = "potsim-qtable"
@@ -32,7 +32,9 @@ def artifact_path(path) -> Path:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Training knobs; defaults sized for desk-scale convergence."""
+    """Training knobs; defaults sized for desk-scale convergence. Budgets are
+    integers, the rest real numbers other than NaN; a numpy scalar is stored
+    as a Python number, so ``QTable.save`` can write it."""
 
     beta: float = 0.1
     gamma: float = 0.9
@@ -45,13 +47,7 @@ class Hyperparams:
     tolerance: float = 1e-4
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int and not _is_int(value):
-                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
-            if f.type is float and (isinstance(value, bool)
-                                    or not isinstance(value, numbers.Real)):
-                raise ParameterError(f"{f.name} must be a number, got {value!r}")
+        check_field_types(self, ParameterError)
         if not 0.0 < self.beta <= 1.0:
             raise ParameterError("beta must lie in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
@@ -264,23 +260,19 @@ class QTable:
         return table
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_header(header: dict) -> None:
     """ConfigError unless the header fields ``save`` writes are well formed."""
     missing = [name for name in ("fo_quantum", "seed", "hyperparams",
                                  "converged", "counts") if name not in header]
     if missing:
         raise ConfigError(f"Q-table artifact header lacks {', '.join(missing)}")
-    if not _is_int(header["fo_quantum"]) or header["fo_quantum"] < 1:
+    if not is_integer(header["fo_quantum"]) or header["fo_quantum"] < 1:
         raise ConfigError("Q-table artifact fo_quantum must be a positive integer")
-    if not _is_int(header["seed"]):
+    if not is_integer(header["seed"]):
         raise ConfigError("Q-table artifact seed must be an integer")
     counts = header["counts"]
     if not isinstance(counts, list) or not all(
-            _is_int(count) and count >= 1 for count in counts):
+            is_integer(count) and count >= 1 for count in counts):
         raise ConfigError("Q-table artifact counts must be positive integers")
     for name in ("hyperparams", "converged"):
         if not isinstance(header[name], dict):

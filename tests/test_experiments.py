@@ -5,7 +5,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ import pytest
 import potsim
 from potsim import ConfigError, MissingArtifactError
 from potsim.cli import main
-from potsim.qlearning import QTable
+from potsim.qlearning import Hyperparams, QTable
 from potsim.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -89,15 +89,27 @@ def test_infinite_snr_parses_from_json_strings():
     assert math.isinf(config.snr_grid[-1])
 
 
-@pytest.mark.parametrize("value", [True, False, "ten", None, [1.0]])
+@pytest.mark.parametrize("value", [True, False, "ten", None, [1.0], math.nan])
 def test_snr_grid_entries_must_be_numbers(tmp_path, capsys, value):
-    # true once ran a 1.0 dB point.
+    # true once ran a 1.0 dB point and NaN a row of nan.
     with pytest.raises(ConfigError, match="snr_grid"):
         ExperimentConfig(experiment="capacity_vs_snr", snr_grid=(-1.0, value))
     data = {"experiment": "capacity_vs_snr", "snr_grid": [-1, value],
             "overlap_mode": "full_overlap", "num_drops": 1}
     with pytest.raises(ConfigError, match="snr_grid"):
         ExperimentConfig.from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "snr_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-inf", -math.inf])
+def test_snr_grid_rejects_minus_infinity(tmp_path, capsys, value):
+    # It once ran as a noiseless point, above the 0 dB one.
+    data = {"experiment": "capacity_vs_snr", "snr_grid": [value, 0],
+            "overlap_mode": "full_overlap", "num_drops": 1}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -315,11 +327,12 @@ def test_cli_rejects_a_non_integer_count_or_index(tmp_path, capsys, field,
 
 @pytest.mark.parametrize("field,value", [
     ("snr_db", "ten"), ("snr_db", True), ("outage_threshold_db", "x"),
-    ("filter_param", None), ("carrier_freq", [800e6])])
+    ("filter_param", None), ("carrier_freq", [800e6]), ("filter_param", math.nan),
+    ("snr_db", -math.inf)])
 def test_cli_rejects_a_real_field_that_is_not_a_number(tmp_path, capsys, field,
                                                        value):
     # "ten" and "x" once failed with exit 1 after the run had started; true
-    # ran as 1.0.
+    # ran as 1.0, NaN wrote nan rows and -inf ran noiseless.
     data = quick_config(overlap_mode="full_overlap").to_dict()
     data[field] = value
     path = tmp_path / "config.json"
@@ -327,6 +340,47 @@ def test_cli_rejects_a_real_field_that_is_not_a_number(tmp_path, capsys, field,
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("snr_grid", "05"), ("filters", "gaussian"), ("aggressor_grid", 5)])
+def test_cli_rejects_a_string_or_number_where_a_list_belongs(tmp_path, capsys,
+                                                             field, value):
+    # "05" once ran at 0 and 5 dB; "gaussian" failed on filter family "g" and
+    # 5 with a message that did not name the field.
+    data = quick_config(overlap_mode="full_overlap").to_dict()
+    data[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("cls,required", [
+    (ExperimentConfig, {"experiment": "capacity_vs_snr"}), (Hyperparams, {})])
+def test_every_number_field_is_checked_against_its_annotation(cls, required):
+    # Driven by the annotations, so a field added later is covered too; a
+    # string annotation (postponed evaluation) would leave nothing to check.
+    numeric = [f for f in fields(cls) if f.type in (int, float)]
+    assert numeric
+    for f in numeric:
+        for bad in (True, "1", math.nan):
+            with pytest.raises(potsim.PotsimError, match=rf"^{f.name} "):
+                cls(**required, **{f.name: bad})
+        numpy_value = (np.int64 if f.type is int else np.float32)(f.default)
+        stored = getattr(cls(**required, **{f.name: numpy_value}), f.name)
+        assert type(stored) is f.type and stored == numpy_value
+
+
+def test_numpy_numbers_leave_a_hashable_config():
+    # Each once raised TypeError: the number is not JSON serializable.
+    config = ExperimentConfig(
+        experiment="capacity_vs_snr", seed=np.int64(3), num_drops=np.int64(4),
+        filter_param=np.float32(0.5), train_overrides={"beta": np.float32(0.5)})
+    plain = ExperimentConfig(experiment="capacity_vs_snr", seed=3, num_drops=4,
+                             filter_param=0.5, train_overrides={"beta": 0.5})
+    assert config.config_hash() == plain.config_hash()
 
 
 @pytest.mark.parametrize("config,digest", [
@@ -360,10 +414,11 @@ def test_cli_run_rejects_a_non_integer_training_budget(tmp_path, capsys, field,
 
 @pytest.mark.parametrize("field,value", [
     ("beta", True), ("gamma", False), ("epsilon_start", "1"),
-    ("lambda1", None), ("tolerance", [1e-4])])
+    ("lambda1", None), ("tolerance", [1e-4]), ("lambda1", math.nan)])
 def test_cli_run_rejects_a_real_training_knob_that_is_not_a_number(
         tmp_path, capsys, field, value):
-    # true once trained with beta = 1 and false with gamma = 0.
+    # true once trained with beta = 1 and false with gamma = 0; NaN trained
+    # an all-NaN table that reported converged.
     data = quick_config().to_dict()
     data["train_overrides"] = {**data["train_overrides"], field: value}
     path = tmp_path / "config.json"

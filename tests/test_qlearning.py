@@ -83,6 +83,21 @@ def test_integer_values_of_real_knobs_stay_valid():
     assert (hp.beta, hp.gamma, hp.epsilon_end, hp.lambda1) == (1, 0, 0, 10)
 
 
+def test_numpy_integers_are_valid_budgets():
+    # np.int64 was once rejected as not an integer.
+    assert Hyperparams(episodes=np.int64(5)).episodes == 5
+
+
+def test_numpy_knobs_round_trip_through_an_artifact(tmp_path):
+    # A float32 beta once passed its check, then QTable.save raised TypeError.
+    table = QTable(fo_quantum=Q, hyperparams=Hyperparams(beta=np.float32(0.5)))
+    table.per_count[1] = {(0,): np.array([1.0, 0.0, 0.0])}
+    table.save(tmp_path / "table.npz")
+    loaded = QTable.load(tmp_path / "table.npz")
+    assert loaded.hyperparams == table.hyperparams
+    assert loaded.hyperparams.beta == 0.5
+
+
 def test_epsilon_anneals_linearly_between_its_endpoints():
     hp = Hyperparams(episodes=11, epsilon_start=1.0, epsilon_end=0.0)
     assert hp.epsilon(0) == pytest.approx(1.0)
