@@ -17,9 +17,8 @@ from .channel import (ChannelModel, ChannelRealization, free_space_path_loss,
                       realize_channel)
 from .network import (Link, NetworkScenario, sample_point_near,
                       update_aggressor_count, entry_sequence, COUNT_THRESHOLD_DB)
-from .interference import (InterferenceProfile, sinr, sinr_linear, capacity,
-                           multiuser_efficiency, outage, victim_energy_tables,
-                           ScenarioEnergies, EnsembleEvaluator)
+from .interference import (link_metric, victim_energy_tables, ScenarioEnergies,
+                           EnsembleEvaluator)
 from .qlearning import Hyperparams, QTable, train
 from .experiments import (ExperimentConfig, run, export_ambiguity_surface,
                           generate_drop)
@@ -36,9 +35,8 @@ __all__ = [
     "realize_channel",
     "Link", "NetworkScenario", "sample_point_near", "update_aggressor_count",
     "entry_sequence", "COUNT_THRESHOLD_DB",
-    "InterferenceProfile", "sinr", "sinr_linear", "capacity",
-    "multiuser_efficiency", "outage", "victim_energy_tables",
-    "ScenarioEnergies", "EnsembleEvaluator",
+    "link_metric", "victim_energy_tables", "ScenarioEnergies",
+    "EnsembleEvaluator",
     "Hyperparams", "QTable", "train",
     "ExperimentConfig", "run", "export_ambiguity_surface", "generate_drop",
     "__version__",

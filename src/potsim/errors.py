@@ -31,7 +31,7 @@ class MissingArtifactError(PotsimError, FileNotFoundError):
 
 #: What a field of each annotation takes, as error messages name it. A bool
 #: is no number here: ``true`` in JSON is a typo.
-_KINDS = {int: "an integer", float: "a number other than NaN", tuple: "a list",
+_KINDS = {int: "an integer", float: "a finite number", tuple: "a list",
           str: "a string", bool: "a boolean", dict: "an object"}
 
 
@@ -47,8 +47,8 @@ def check_field_types(instance, error) -> None:
         value = getattr(instance, f.name)
         if f.type in (int, float) and is_integer(value):
             value = int(value)
-        elif f.type is float and isinstance(value, numbers.Real) and not (
-                isinstance(value, bool) or math.isnan(value)):
+        elif (f.type is float and isinstance(value, numbers.Real)
+              and not isinstance(value, bool) and math.isfinite(value)):
             value = float(value)
         elif f.type is tuple and isinstance(value, (list, tuple)):
             value = tuple(value)

@@ -21,9 +21,7 @@ import numpy as np
 from .channel import ChannelModel, realize_channel
 from .errors import (ConfigError, MissingArtifactError, ParameterError,
                      check_field_types, is_integer)
-from .interference import (InterferenceProfile, ScenarioEnergies, capacity,
-                           multiuser_efficiency, outage, profile_at,
-                           victim_energy_tables)
+from .interference import ScenarioEnergies, link_metric, victim_energy_tables
 from .network import (Link, NetworkScenario, entry_sequence, sample_point_near)
 from .qlearning import Hyperparams, QTable, artifact_path, train
 from .waveform import (CrossAmbiguity, FILTER_FAMILIES, LatticeConfig,
@@ -135,8 +133,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be sorted ascending")
         if min(self.aggressor_grid) < 1:
             raise ConfigError("aggressor counts must be at least 1")
-        if self.snr_db == -math.inf:
-            raise ConfigError("snr_db must be above -inf")
         if self.filter_param <= 0:
             raise ConfigError("filter_param must be positive")
         if self.num_aggressors < 1:
@@ -259,17 +255,6 @@ def _pot_qdiffs(scenario: NetworkScenario, policy) -> list:
     return [link.fo_index - victim_q for link in scenario.links[1:]]
 
 
-def _metric_value(metric: str, profile: InterferenceProfile,
-                  threshold_db: float) -> float:
-    if metric == "capacity":
-        return capacity(profile)
-    if metric == "me":
-        return multiuser_efficiency(profile, 1.0, math.sqrt(profile.e_signal))
-    if metric == "outage":
-        return float(outage(profile, threshold_db))
-    raise ConfigError(f"unknown metric {metric!r}")
-
-
 def _mean_ci(values) -> tuple:
     data = np.asarray(values, dtype=float)
     mean = float(data.mean())
@@ -365,17 +350,21 @@ def _sweep(config: ExperimentConfig, policy) -> list:
             qdiffs = {FULL_OVERLAP: [0] * len(aggressors)}
             if POT in config.modes:
                 qdiffs[POT] = _pot_qdiffs(scenario, policy)
+            # Each aggressor's profile entry at its FO difference.
+            cells = {mode: (np.arange(len(aggressors)),
+                            np.add(qdiffs[mode], config.fo_quantum - 1))
+                     for mode in config.modes}
             for family in config.filters:
                 e_signal, e_self, profiles = victim_energy_tables(
                     victim, aggressors, realizations, evaluators[family])
                 noise_var = e_signal / snr_lin
                 for mode in config.modes:
-                    profile = profile_at(e_signal, e_self, profiles, aggressors,
-                                         qdiffs[mode], noise_var)
-                    value = _metric_value(metric, profile,
-                                          config.outage_threshold_db)
-                    samples.setdefault((grid_value, family, mode),
-                                       []).append(value)
+                    # Python floats, summed in link order: from Python 3.12
+                    # the built-in sum compensates exact floats only.
+                    e_oi = sum(profiles[cells[mode]].tolist())
+                    samples.setdefault((grid_value, family, mode), []).append(
+                        link_metric(metric, e_signal, e_self, e_oi, noise_var,
+                                    config.outage_threshold_db))
     rows = []
     for grid_value in grid:
         for family in config.filters:

@@ -1,19 +1,20 @@
 """Received-energy decomposition and the link metrics built on it.
 
-Every received burst at a victim splits into the desired symbol energy, the
-self-interference of the victim's own lattice, and cross-link interference
-from each aggressor at its frequency-offset difference, all through the
-channel-convolved ambiguity coefficients. Symbols are unit-energy and
-independent across positions and links, so energies add without cross terms.
+Every received burst at a victim splits into the desired symbol energy E_S,
+the self-interference E_SI of the victim's own lattice, and cross-link
+interference from each aggressor at its frequency-offset difference, summed
+into E_OI, all through the channel-convolved ambiguity coefficients. Symbols
+are unit-energy and independent across positions and links, so energies add
+without cross terms. ``link_metric`` scores one sweep link from its split;
+``EnsembleEvaluator`` scores training's sum capacity from whole tables.
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .waveform import CrossAmbiguity
 
 #: Gathered cells per state above which a batch query edits one table row by
@@ -22,26 +23,6 @@ from .waveform import CrossAmbiguity
 #: 484 cells and 75 us at 10,404 on a 2-core Xeon, the row-by-row edit
 #: 15-25 us at any size; they crossed between 2,400 and 3,400 cells.
 _WHOLE_GATHER_CELLS = 3000
-
-
-@dataclass(frozen=True)
-class InterferenceProfile:
-    """Energy split of one victim's received burst."""
-
-    e_signal: float
-    e_self: float
-    noise_var: float
-    per_aggressor: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if min(self.e_signal, self.e_self, self.noise_var) < 0:
-            raise ParameterError("energies must be non-negative")
-        if any(value < 0 for value in self.per_aggressor.values()):
-            raise ParameterError("aggressor energies must be non-negative")
-
-    @property
-    def e_cci(self) -> float:
-        return sum(self.per_aggressor.values())
 
 
 def _relative_delay(aggressor, victim, tau0: float) -> float:
@@ -76,7 +57,7 @@ def victim_energy_tables(victim, aggressors, realizations,
 
     Returns (e_signal, e_self, profiles) where row i of profiles holds
     aggressor i's energy at every signed FO difference, indexed qdiff + Q - 1.
-    Slicing the rows at the realized FO differences (``profile_at``) serves
+    Summing each row's entry at the realized FO difference gives E_OI for
     any assignment without touching the channel convolution again, which is
     what lets one drop serve several overlap modes.
     """
@@ -95,63 +76,31 @@ def victim_energy_tables(victim, aggressors, realizations,
     return e_signal, e_self, profiles
 
 
-def profile_at(e_signal: float, e_self: float, profiles: np.ndarray,
-               aggressors, qdiffs, noise_var: float) -> InterferenceProfile:
-    """InterferenceProfile of ``victim_energy_tables`` at given FO differences.
+def link_metric(metric: str, e_signal: float, e_self: float, e_oi: float,
+                noise_var: float, threshold_db: float) -> float:
+    """One link's "capacity", "me" or "outage" from its energy split.
 
-    qdiffs holds each aggressor's quantized FO index minus the victim's.
+    Capacity is log2(1 + SINR) in bits/s/Hz, SINR = E_S / (E_SI + E_OI +
+    noise); a zero denominator gives an infinite SINR when there is signal,
+    else zero. Outage is 1.0 when the SINR falls strictly below
+    ``threshold_db``, a zero SINR included. The asymptotic multiuser
+    efficiency of the matched-filter receiver is max(0, 1 - sqrt(E_SI +
+    E_OI) / sqrt(E_S)) squared, 0 without signal; noise does not enter it.
     """
-    fo_quantum = (profiles.shape[1] + 1) // 2
-    per_aggressor = {}
-    for row, aggressor, qdiff in zip(profiles, aggressors, qdiffs):
-        if not -fo_quantum < qdiff < fo_quantum:
-            raise ConfigError("FO difference outside the quantized grid")
-        per_aggressor[aggressor.link_id] = float(row[qdiff + fo_quantum - 1])
-    return InterferenceProfile(e_signal=e_signal, e_self=e_self,
-                               noise_var=noise_var, per_aggressor=per_aggressor)
-
-
-def sinr(profile: InterferenceProfile) -> float:
-    """Post-demodulation SINR in dB, with infinite sentinels at the edges."""
-    denom = profile.e_self + profile.e_cci + profile.noise_var
-    if profile.e_signal == 0:
-        return -math.inf
+    if metric == "me":
+        if e_signal == 0:
+            return 0.0
+        return max(0.0, 1.0 - math.sqrt(e_self + e_oi) / math.sqrt(e_signal)) ** 2
+    denom = e_self + e_oi + noise_var
     if denom == 0:
-        return math.inf
-    return 10.0 * math.log10(profile.e_signal / denom)
-
-
-def sinr_linear(profile: InterferenceProfile) -> float:
-    denom = profile.e_self + profile.e_cci + profile.noise_var
-    if denom == 0:
-        return math.inf if profile.e_signal > 0 else 0.0
-    return profile.e_signal / denom
-
-
-def capacity(profile: InterferenceProfile) -> float:
-    """Spectral efficiency log2(1 + SINR) in bits/s/Hz."""
-    return math.log2(1.0 + sinr_linear(profile))
-
-
-def multiuser_efficiency(profile: InterferenceProfile, a_peak: float,
-                         g_u: float) -> float:
-    """Asymptotic multiuser efficiency of the matched-filter receiver.
-
-    eta = max(0, 1 - sqrt(E_SI + E_OI) / (G_u * A_peak)) squared, clamped to
-    [0, 1]. Noise does not enter; only interference degrades the efficiency.
-    """
-    if a_peak < 0 or g_u < 0:
-        raise ParameterError("gains must be non-negative")
-    reference = g_u * a_peak
-    if reference == 0:
-        return 0.0
-    ratio = math.sqrt(profile.e_self + profile.e_cci) / reference
-    return max(0.0, 1.0 - ratio) ** 2
-
-
-def outage(profile: InterferenceProfile, threshold_db: float = -6.0) -> bool:
-    """True when the SINR falls strictly below the threshold."""
-    return sinr(profile) < threshold_db
+        ratio = math.inf if e_signal > 0 else 0.0
+    else:
+        ratio = e_signal / denom
+    if metric == "capacity":
+        return math.log2(1.0 + ratio)
+    if metric == "outage":
+        return float(ratio == 0 or 10.0 * math.log10(ratio) < threshold_db)
+    raise ConfigError(f"unknown metric {metric!r}")
 
 
 class ScenarioEnergies:
@@ -165,9 +114,7 @@ class ScenarioEnergies:
     """
 
     def __init__(self, scenario, realizations, cross_amb: CrossAmbiguity,
-                 snr_db: float = None, noise_var: float = None):
-        if (snr_db is None) == (noise_var is None):
-            raise ConfigError("specify exactly one of snr_db or noise_var")
+                 snr_db: float):
         self.fo_quantum = cross_amb.fo_quantum
         links = list(scenario.links)
         self.link_ids = [link.link_id for link in links]
@@ -179,10 +126,7 @@ class ScenarioEnergies:
             others = links[:u] + links[u + 1:]
             self.e_signal[u], self.e_self[u], self.cci[np.arange(count) != u, u] = (
                 victim_energy_tables(victim, others, realizations, cross_amb))
-        if snr_db is None:
-            self.noise = np.full(count, float(noise_var))
-        else:
-            self.noise = self.e_signal / (10.0 ** (snr_db / 10.0))
+        self.noise = self.e_signal / (10.0 ** (snr_db / 10.0))
 
 
 class EnsembleEvaluator:

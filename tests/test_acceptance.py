@@ -22,7 +22,7 @@ from potsim.channel import ChannelRealization
 from potsim.cli import main
 from potsim.experiments import generate_drop, realize_channels, run
 from potsim.interference import (EnsembleEvaluator, ScenarioEnergies,
-                                 profile_at, victim_energy_tables)
+                                 victim_energy_tables)
 from potsim.qlearning import Hyperparams, train
 from potsim.waveform import CrossAmbiguity, ambiguity
 
@@ -248,10 +248,10 @@ def model_energies(pulse, victim_taps, aggressor_taps):
 
     realizations = {(0, 0): realization(victim_taps),
                     (1, 0): realization(aggressor_taps)}
-    tables = victim_energy_tables(victim, [aggressor], realizations, cross)
-    profile = profile_at(*tables, [aggressor],
-                         [aggressor.fo_index - victim.fo_index], noise_var=0.0)
-    return profile.e_signal, profile.e_self, profile.per_aggressor[1]
+    e_signal, e_self, profiles = victim_energy_tables(victim, [aggressor],
+                                                      realizations, cross)
+    qdiff = aggressor.fo_index - victim.fo_index
+    return e_signal, e_self, float(profiles[0, qdiff + cross.fo_quantum - 1])
 
 
 def test_criterion_3_decompose_matches_time_domain_simulation():

@@ -328,11 +328,12 @@ def test_cli_rejects_a_non_integer_count_or_index(tmp_path, capsys, field,
 @pytest.mark.parametrize("field,value", [
     ("snr_db", "ten"), ("snr_db", True), ("outage_threshold_db", "x"),
     ("filter_param", None), ("carrier_freq", [800e6]), ("filter_param", math.nan),
-    ("snr_db", -math.inf)])
+    ("snr_db", -math.inf), ("lattice_density", math.inf), ("carrier_freq", math.inf)])
 def test_cli_rejects_a_real_field_that_is_not_a_number(tmp_path, capsys, field,
                                                        value):
     # "ten" and "x" once failed with exit 1 after the run had started; true
-    # ran as 1.0, NaN wrote nan rows and -inf ran noiseless.
+    # ran as 1.0, NaN wrote nan rows and -inf ran noiseless. An infinite
+    # lattice density crashed with a traceback; an infinite carrier ran.
     data = quick_config(overlap_mode="full_overlap").to_dict()
     data[field] = value
     path = tmp_path / "config.json"
@@ -365,7 +366,7 @@ def test_every_number_field_is_checked_against_its_annotation(cls, required):
     numeric = [f for f in fields(cls) if f.type in (int, float)]
     assert numeric
     for f in numeric:
-        for bad in (True, "1", math.nan):
+        for bad in (True, "1", math.nan, math.inf):
             with pytest.raises(potsim.PotsimError, match=rf"^{f.name} "):
                 cls(**required, **{f.name: bad})
         numpy_value = (np.int64 if f.type is int else np.float32)(f.default)
@@ -558,6 +559,10 @@ def test_cli_ambiguity_export(tmp_path):
 PINNED_CSV_SHA256 = {
     "awgn_capacity_vs_aggressors":
         "e4a1c0c2885b6841c21e0d8d282f9d49cd56f476b4d9c3f81dfd048638f3ea7e",
+    "awgn_me_vs_aggressors":
+        "fe86fbab5ad816047aa51b86feb85ca878ac36a239df7510a1c785e56e33d306",
+    "awgn_outage_vs_aggressors":
+        "1424928934fca5c9cc4ab5560960fe79de075b02623113f4a9457e229945e40a",
     "epa_capacity_vs_snr":
         "313bc55afa5560b25b5ede96206ab42b1c6038e1b6a96614b4087f2d603f86db",
 }
@@ -577,6 +582,11 @@ def test_run_path_outputs_are_pinned(tmp_path):
     sweeps = {
         "awgn_capacity_vs_aggressors": quick_config(
             filters=filters, aggressor_grid=(2, 5)),
+        "awgn_me_vs_aggressors": quick_config(
+            experiment="me_vs_aggressors", filters=filters, aggressor_grid=(2, 5)),
+        "awgn_outage_vs_aggressors": quick_config(
+            experiment="outage_vs_aggressors", filters=filters,
+            aggressor_grid=(2, 5)),
         "epa_capacity_vs_snr": quick_config(
             experiment="capacity_vs_snr", channel="epa", filters=filters,
             snr_grid=(0.0, 20.0, math.inf), num_aggressors=5),

@@ -1,4 +1,5 @@
-"""Energy decomposition, SINR, capacity, efficiency, and outage."""
+"""Energy decomposition and the link metrics: SINR, capacity, efficiency,
+and outage."""
 
 import math
 import types
@@ -13,23 +14,15 @@ from potsim import (
     CrossAmbiguity,
     EnsembleEvaluator,
     ExperimentConfig,
-    InterferenceProfile,
     LatticeConfig,
     Link,
-    ParameterError,
     ScenarioEnergies,
-    capacity,
     generate_drop,
-    make_gaussian,
+    link_metric,
     make_rrc,
-    multiuser_efficiency,
-    outage,
-    sinr,
-    sinr_linear,
     victim_energy_tables,
 )
 from potsim import interference
-from potsim.interference import profile_at
 
 Q = 8
 
@@ -44,11 +37,14 @@ def link_at(link_id, rank, timing=0.0, fo_index=0):
                 entry_rank=rank, timing_offset=timing, fo_index=fo_index)
 
 
-def profile_of(victim, aggressors, realizations, cross, noise_var):
-    """The victim's energy split at the links' FO indices, as a sweep reads it."""
-    qdiffs = [aggressor.fo_index - victim.fo_index for aggressor in aggressors]
-    tables = victim_energy_tables(victim, aggressors, realizations, cross)
-    return profile_at(*tables, aggressors, qdiffs, noise_var)
+def split_of(victim, aggressors, realizations, cross):
+    """(E_S, E_SI, each aggressor's energy at the links' FO indices), as a
+    sweep reads the victim's tables."""
+    e_signal, e_self, profiles = victim_energy_tables(victim, aggressors,
+                                                      realizations, cross)
+    per_aggressor = [float(row[aggressor.fo_index - victim.fo_index + Q - 1])
+                     for row, aggressor in zip(profiles, aggressors)]
+    return e_signal, e_self, per_aggressor
 
 
 @pytest.fixture(scope="module")
@@ -71,32 +67,32 @@ def realizations_for(victim, aggressors, gain=1.0):
 
 def test_no_aggressors_means_no_cross_interference(setup):
     lattice, cross, victim = setup
-    profile = profile_of(victim, [], realizations_for(victim, []), cross, noise_var=0.0)
-    assert profile.e_cci == 0.0
-    assert profile.per_aggressor == {}
-    assert profile.e_signal == pytest.approx(1.0, abs=1e-6)
+    e_signal, _, per_aggressor = split_of(victim, [], realizations_for(victim, []),
+                                          cross)
+    assert per_aggressor == []
+    assert e_signal == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fully_overlapping_equal_gain_aggressor_couples_at_least_signal_energy(setup):
     lattice, cross, victim = setup
     aggressor = link_at(1, 2)
-    profile = profile_of(victim, [aggressor], realizations_for(victim, [aggressor]),
-                        cross, noise_var=0.0)
+    e_signal, _, (e_oi,) = split_of(victim, [aggressor],
+                                    realizations_for(victim, [aggressor]), cross)
     # Same filter, same FO, same timing: the (0, 0) term alone already equals
     # the signal energy, the non-orthogonal lattice tails add on top of it.
-    assert profile.per_aggressor[1] >= profile.e_signal - 1e-9
+    assert e_oi >= e_signal - 1e-9
 
 
 def test_full_overlap_gaussian_coupling_matches_theta_series(setup):
     lattice, cross, victim = setup
     aggressor = link_at(1, 2)
-    profile = profile_of(victim, [aggressor], realizations_for(victim, [aggressor]),
-                        cross, noise_var=0.0)
+    _, e_self, (e_oi,) = split_of(victim, [aggressor],
+                                  realizations_for(victim, [aggressor]), cross)
     rho = 0.2
     time_series = sum(math.exp(-math.pi * rho * l * l) for l in range(-11, 12))
     freq_series = sum(math.exp(-math.pi * n * n / rho) for n in range(0, 12))
-    assert profile.per_aggressor[1] == pytest.approx(time_series * freq_series, rel=1e-3)
-    assert profile.e_self == pytest.approx(time_series * freq_series - 1.0, rel=1e-3)
+    assert e_oi == pytest.approx(time_series * freq_series, rel=1e-3)
+    assert e_self == pytest.approx(time_series * freq_series - 1.0, rel=1e-3)
 
 
 def test_half_spacing_offset_couples_less_than_full_overlap(setup):
@@ -104,8 +100,8 @@ def test_half_spacing_offset_couples_less_than_full_overlap(setup):
     overlapped = link_at(1, 2)
     shifted = link_at(1, 2, fo_index=4)
     reals = realizations_for(victim, [overlapped])
-    full = profile_of(victim, [overlapped], reals, cross, 0.0).per_aggressor[1]
-    half = profile_of(victim, [shifted], reals, cross, 0.0).per_aggressor[1]
+    (full,) = split_of(victim, [overlapped], reals, cross)[2]
+    (half,) = split_of(victim, [shifted], reals, cross)[2]
     assert half < full
 
 
@@ -115,8 +111,8 @@ def test_orthogonal_rrc_design_lattice_has_negligible_self_interference():
     pulse = make_rrc(alpha)
     cross = CrossAmbiguity(pulse, pulse, lat, fo_quantum=Q)
     victim = link_at(0, 1)
-    profile = profile_of(victim, [], realizations_for(victim, []), cross, 0.0)
-    assert profile.e_self <= 1e-3 * profile.e_signal
+    e_signal, e_self, _ = split_of(victim, [], realizations_for(victim, []), cross)
+    assert e_self <= 1e-3 * e_signal
 
 
 def test_orthogonal_full_overlap_aggressor_couples_exactly_signal_energy():
@@ -130,8 +126,8 @@ def test_orthogonal_full_overlap_aggressor_couples_exactly_signal_energy():
     victim = link_at(0, 1)
     aggressor = link_at(1, 2)
     reals = realizations_for(victim, [aggressor])
-    profile = profile_of(victim, [aggressor], reals, cross, 0.0)
-    assert profile.per_aggressor[1] == pytest.approx(profile.e_signal, rel=1e-3)
+    e_signal, _, (e_oi,) = split_of(victim, [aggressor], reals, cross)
+    assert e_oi == pytest.approx(e_signal, rel=1e-3)
 
 
 def test_cci_is_additive_over_aggressors(setup):
@@ -139,114 +135,153 @@ def test_cci_is_additive_over_aggressors(setup):
     aggressors = [link_at(1, 2, timing=0.3 * lattice.tau0, fo_index=2),
                   link_at(2, 3, timing=0.7 * lattice.tau0, fo_index=5)]
     reals = realizations_for(victim, aggressors, gain=0.5)
-    both = profile_of(victim, aggressors, reals, cross, 0.0)
-    assert both.e_cci == pytest.approx(sum(both.per_aggressor.values()), rel=1e-9)
-    first_only = profile_of(victim, aggressors[:1], reals, cross, 0.0)
-    assert both.e_cci - both.per_aggressor[2] == pytest.approx(first_only.e_cci, rel=1e-12)
+    both = split_of(victim, aggressors, reals, cross)[2]
+    first_only = split_of(victim, aggressors[:1], reals, cross)[2]
+    # One aggressor's entry does not depend on which others are present.
+    assert both[:1] == first_only
+    assert sum(both) - both[1] == pytest.approx(sum(first_only), rel=1e-12)
 
 
 def test_missing_realization_is_a_config_error(setup):
     lattice, cross, victim = setup
     aggressor = link_at(1, 2)
     with pytest.raises(potsim.ConfigError):
-        profile_of(victim, [aggressor], realizations_for(victim, []), cross, 0.0)
-
-
-def test_off_grid_fo_difference_is_rejected(setup):
-    lattice, cross, victim = setup
-    aggressor = link_at(1, 2)
-    tables = victim_energy_tables(victim, [aggressor],
-                                  realizations_for(victim, [aggressor]), cross)
-    # The tables span qdiff in (-Q, Q); a wider difference has no column.
-    for qdiff in (Q, -Q, 2 * Q):
-        with pytest.raises(potsim.ConfigError):
-            profile_at(*tables, [aggressor], [qdiff], 0.0)
-
-
-def test_negative_energies_are_rejected():
-    with pytest.raises(ParameterError):
-        InterferenceProfile(e_signal=-1.0, e_self=0.0, noise_var=0.0)
-    with pytest.raises(ParameterError):
-        InterferenceProfile(e_signal=1.0, e_self=0.0, noise_var=0.0,
-                            per_aggressor={3: -0.1})
+        split_of(victim, [aggressor], realizations_for(victim, []), cross)
 
 
 # ---------------------------------------------------------------------------
-# scalar metrics
+# link metrics
 
 
 def test_sinr_of_simple_ratios():
-    clean = InterferenceProfile(e_signal=1.0, e_self=0.0, noise_var=0.1)
-    assert sinr(clean) == pytest.approx(10.0, abs=1e-9)
-    interfered = InterferenceProfile(e_signal=1.0, e_self=0.0, noise_var=0.0,
-                                     per_aggressor={1: 1.0})
-    assert sinr(interfered) == pytest.approx(0.0, abs=1e-9)
+    # 10 dB without interference, 0 dB with an aggressor as strong as the
+    # signal: the outage threshold brackets the SINR, capacity is Shannon's.
+    for threshold, expected in ((10.0 + 1e-9, 1.0), (10.0 - 1e-9, 0.0)):
+        assert link_metric("outage", 1.0, 0.0, 0.0, 0.1, threshold) == expected
+    assert link_metric("capacity", 1.0, 0.0, 0.0, 0.1, -6.0) == pytest.approx(
+        math.log2(11.0), abs=1e-12)
+    for threshold, expected in ((1e-9, 1.0), (-1e-9, 0.0)):
+        assert link_metric("outage", 1.0, 0.0, 1.0, 0.0, threshold) == expected
+    assert link_metric("capacity", 1.0, 0.0, 1.0, 0.0, -6.0) == 1.0
 
 
 def test_sinr_is_scale_invariant():
-    base = InterferenceProfile(e_signal=1.0, e_self=0.2, noise_var=0.05,
-                               per_aggressor={1: 0.3})
-    scaled = InterferenceProfile(e_signal=7.0, e_self=1.4, noise_var=0.35,
-                                 per_aggressor={1: 2.1})
-    assert sinr(base) == pytest.approx(sinr(scaled), abs=1e-9)
+    for metric in ("capacity", "me"):
+        base = link_metric(metric, 1.0, 0.2, 0.3, 0.05, -6.0)
+        scaled = link_metric(metric, 7.0, 1.4, 2.1, 0.35, -6.0)
+        assert base == pytest.approx(scaled, abs=1e-9)
 
 
 def test_sinr_sentinels_at_degenerate_profiles():
-    silent = InterferenceProfile(e_signal=0.0, e_self=0.1, noise_var=0.0)
-    assert sinr(silent) == -math.inf
-    noiseless = InterferenceProfile(e_signal=1.0, e_self=0.0, noise_var=0.0)
-    assert sinr(noiseless) == math.inf
-    assert sinr_linear(noiseless) == math.inf
+    # No signal: zero SINR, an outage at any threshold, zero capacity.
+    assert link_metric("outage", 0.0, 0.1, 0.0, 0.0, -1e300) == 1.0
+    assert link_metric("capacity", 0.0, 0.1, 0.0, 0.0, -6.0) == 0.0
+    # Signal without interference or noise: infinite SINR, never an outage.
+    assert link_metric("capacity", 1.0, 0.0, 0.0, 0.0, -6.0) == math.inf
+    assert link_metric("outage", 1.0, 0.0, 0.0, 0.0, 1e300) == 0.0
 
 
 def test_zero_sinr_gives_zero_capacity():
-    profile = InterferenceProfile(e_signal=0.0, e_self=0.0, noise_var=1.0)
-    assert capacity(profile) == 0.0
+    assert link_metric("capacity", 0.0, 0.0, 0.0, 1.0, -6.0) == 0.0
 
 
 def test_capacity_is_shannon_in_the_linear_ratio():
-    profile = InterferenceProfile(e_signal=3.0, e_self=0.0, noise_var=1.0)
-    assert capacity(profile) == pytest.approx(2.0, abs=1e-12)
+    assert link_metric("capacity", 3.0, 0.0, 0.0, 1.0, -6.0) == pytest.approx(
+        2.0, abs=1e-12)
 
 
 def test_efficiency_is_one_without_interference():
-    profile = InterferenceProfile(e_signal=1.0, e_self=0.0, noise_var=0.2)
-    assert multiuser_efficiency(profile, a_peak=1.0, g_u=1.0) == 1.0
+    assert link_metric("me", 1.0, 0.0, 0.0, 0.2, -6.0) == 1.0
 
 
 def test_efficiency_clamps_to_zero_when_interference_dominates():
-    profile = InterferenceProfile(e_signal=1.0, e_self=0.5, noise_var=0.0,
-                                  per_aggressor={1: 0.6})
-    assert multiuser_efficiency(profile, a_peak=1.0, g_u=1.0) == 0.0
+    assert link_metric("me", 1.0, 0.5, 0.6, 0.0, -6.0) == 0.0
 
 
 def test_efficiency_matches_the_closed_form_between_the_clamps():
-    profile = InterferenceProfile(e_signal=1.0, e_self=0.09, noise_var=0.0,
-                                  per_aggressor={1: 0.16})
     expected = (1.0 - math.sqrt(0.25)) ** 2
-    assert multiuser_efficiency(profile, a_peak=1.0, g_u=1.0) == pytest.approx(expected, abs=1e-12)
+    assert link_metric("me", 1.0, 0.09, 0.16, 0.0, -6.0) == pytest.approx(
+        expected, abs=1e-12)
 
 
 def test_efficiency_never_leaves_the_unit_interval_and_decreases_with_interference():
-    rng = np.random.default_rng(0)
     last = 1.0
     for e_extra in np.linspace(0.0, 2.0, 21):
-        profile = InterferenceProfile(e_signal=1.0, e_self=0.05, noise_var=0.0,
-                                      per_aggressor={1: float(e_extra)})
-        eta = multiuser_efficiency(profile, a_peak=1.0, g_u=1.0)
+        eta = link_metric("me", 1.0, 0.05, float(e_extra), 0.0, -6.0)
         assert 0.0 <= eta <= 1.0
         assert eta <= last + 1e-12
         last = eta
-    del rng
 
 
 def test_outage_uses_a_strict_threshold():
-    below = InterferenceProfile(e_signal=10 ** (-0.7), e_self=0.0, noise_var=1.0)
-    assert sinr(below) == pytest.approx(-7.0, abs=1e-9)
-    assert outage(below, threshold_db=-6.0)
-    boundary = InterferenceProfile(e_signal=10 ** (-0.6), e_self=0.0, noise_var=1.0)
-    assert sinr(boundary) == pytest.approx(-6.0, abs=1e-9)
-    assert not outage(boundary, threshold_db=-6.0)
+    # SINR -7 dB is below -6 dB; SINR 10 ** -0.6 lands on the threshold.
+    assert link_metric("outage", 10 ** (-0.7), 0.0, 0.0, 1.0, -6.0) == 1.0
+    assert 10.0 * math.log10(10 ** (-0.6)) == pytest.approx(-6.0, abs=1e-9)
+    assert link_metric("outage", 10 ** (-0.6), 0.0, 0.0, 1.0, -6.0) == 0.0
+
+
+def test_unknown_metric_is_a_config_error():
+    with pytest.raises(potsim.ConfigError):
+        link_metric("sinr", 1.0, 0.0, 0.0, 1.0, -6.0)
+
+
+# The per-profile formulas that ``link_metric`` folds into one function, kept
+# as its oracle: a profile holds the energies and the per-aggressor dict whose
+# sum is E_OI.
+
+
+def oracle_sinr(profile):
+    denom = profile.e_self + profile.e_cci + profile.noise_var
+    if profile.e_signal == 0:
+        return -math.inf
+    if denom == 0:
+        return math.inf
+    return 10.0 * math.log10(profile.e_signal / denom)
+
+
+def oracle_sinr_linear(profile):
+    denom = profile.e_self + profile.e_cci + profile.noise_var
+    if denom == 0:
+        return math.inf if profile.e_signal > 0 else 0.0
+    return profile.e_signal / denom
+
+
+def oracle_multiuser_efficiency(profile, a_peak, g_u):
+    reference = g_u * a_peak
+    if reference == 0:
+        return 0.0
+    ratio = math.sqrt(profile.e_self + profile.e_cci) / reference
+    return max(0.0, 1.0 - ratio) ** 2
+
+
+def oracle_metric(metric, profile, threshold_db):
+    if metric == "capacity":
+        return math.log2(1.0 + oracle_sinr_linear(profile))
+    if metric == "me":
+        return oracle_multiuser_efficiency(profile, 1.0, math.sqrt(profile.e_signal))
+    return float(oracle_sinr(profile) < threshold_db)
+
+
+def test_link_metric_equals_the_per_profile_oracle():
+    rng = np.random.default_rng(17)
+    no_signal = no_denominator = 0
+    for _ in range(2000):
+        per_aggressor = dict(enumerate(
+            rng.exponential(size=int(rng.integers(0, 6))).tolist()))
+        # E_S, E_SI and the noise are each zero a quarter of the time.
+        e_signal, e_self, noise_var = (rng.exponential(size=3)
+                                       * (rng.random(3) >= 0.25)).tolist()
+        profile = types.SimpleNamespace(
+            e_signal=e_signal, e_self=e_self, noise_var=noise_var,
+            e_cci=sum(per_aggressor.values()))
+        threshold_db = float(rng.uniform(-20.0, 20.0))
+        for metric in ("capacity", "me", "outage"):
+            assert (link_metric(metric, e_signal, e_self, profile.e_cci,
+                                noise_var, threshold_db)
+                    == oracle_metric(metric, profile, threshold_db))
+        no_signal += e_signal == 0
+        no_denominator += e_signal > 0 and e_self + profile.e_cci + noise_var == 0
+    assert no_signal and no_denominator
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +309,29 @@ def network_capacity(scenario, realizations, cross, noise):
     total = 0.0
     for index, victim in enumerate(scenario.links):
         aggressors = [link for link in scenario.links if link is not victim]
-        total += capacity(profile_of(victim, aggressors, realizations, cross,
-                                     float(noise[index])))
+        e_signal, e_self, per_aggressor = split_of(victim, aggressors,
+                                                   realizations, cross)
+        total += link_metric("capacity", e_signal, e_self, sum(per_aggressor),
+                             float(noise[index]), -6.0)
     return total
 
 
 def test_scenario_tables_reproduce_direct_decomposition(lattice, cross_gaussian):
     scenario, realizations = build_scenario(4, seed=77)
-    energies = ScenarioEnergies(scenario, realizations, cross_gaussian, noise_var=0.01)
+    energies = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0)
     for index, victim in enumerate(scenario.links):
         aggressors = [link for link in scenario.links if link is not victim]
-        direct = profile_of(victim, aggressors, realizations, cross_gaussian, 0.01)
-        assert energies.e_signal[index] == pytest.approx(direct.e_signal, rel=1e-12)
-        assert energies.e_self[index] == pytest.approx(direct.e_self, rel=1e-12)
-        assert energies.noise[index] == 0.01
-        for source, link in enumerate(scenario.links):
-            if link is victim:
-                continue
+        e_signal, e_self, per_aggressor = split_of(victim, aggressors, realizations,
+                                                   cross_gaussian)
+        assert energies.e_signal[index] == pytest.approx(e_signal, rel=1e-12)
+        assert energies.e_self[index] == pytest.approx(e_self, rel=1e-12)
+        assert energies.noise[index] == energies.e_signal[index] / 10.0
+        sources = [source for source, link in enumerate(scenario.links)
+                   if link is not victim]
+        for source, link, direct in zip(sources, aggressors, per_aggressor):
             qdiff = link.fo_index - victim.fo_index
             tabled = energies.cci[source, index, qdiff + Q - 1]
-            assert tabled == pytest.approx(direct.per_aggressor[link.link_id], rel=1e-9)
+            assert tabled == pytest.approx(direct, rel=1e-9)
 
 
 def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian):
@@ -302,22 +340,22 @@ def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian):
     aggressors = scenario.links[1:]
     e_signal, e_self, profiles = victim_energy_tables(
         victim, aggressors, realizations, cross_gaussian)
-    direct = profile_of(victim, aggressors, realizations, cross_gaussian, 0.0)
+    per_aggressor = split_of(victim, aggressors, realizations, cross_gaussian)[2]
     # Own energies from the block itself: the zero-delay term on the
     # reference subcarrier is the signal, every other term self-interference.
     own = np.abs(cross_gaussian.convolved_block(
         realizations[(0, 0)], 0.0, 0)) ** 2
     signal = own[lattice.num_symbols - 1, cross_gaussian.reference_subcarrier]
-    assert e_signal == direct.e_signal == pytest.approx(signal, rel=1e-12)
-    assert e_self == direct.e_self == pytest.approx(own.sum() - signal, rel=1e-9)
+    assert e_signal == pytest.approx(signal, rel=1e-12)
+    assert e_self == pytest.approx(own.sum() - signal, rel=1e-9)
     assert profiles.shape == (len(aggressors), 2 * Q - 1)
-    for row, aggressor in zip(profiles, aggressors):
+    for row, aggressor, direct in zip(profiles, aggressors, per_aggressor):
         qdiff = aggressor.fo_index - victim.fo_index
         rel_delay = (aggressor.timing_offset - victim.timing_offset) % lattice.tau0
         pair = cross_gaussian.cci_energy_profile(
             realizations[(aggressor.link_id, 0)], rel_delay)
         assert np.array_equal(row, pair)
-        assert direct.per_aggressor[aggressor.link_id] == row[qdiff + Q - 1]
+        assert direct == row[qdiff + Q - 1]
 
 
 def test_scenario_sum_capacity_matches_profile_route(lattice, cross_gaussian):
