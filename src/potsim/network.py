@@ -74,12 +74,23 @@ class NetworkScenario:
 
 def sample_point_near(center, max_range: float, area_side: float,
                       rng: np.random.Generator) -> tuple:
-    """Point uniform in the disk around ``center``, resampled into the area."""
+    """Point uniform in the disk around ``center``, resampled into the area.
+
+    When the disk covers the whole area, the resampled point is uniform over
+    the area, so it is drawn that way at once: resampling a disk far larger
+    than the area would almost never land in it.
+    """
     # Python floats round each operation as numpy's float64 does (math.sqrt
     # is correctly rounded, like np.sqrt) without numpy's per-call overhead;
     # the cosine and sine stay numpy's so the point is the same to the bit.
     cx, cy = (float(c) for c in center)
     max_range = float(max_range)
+    # The square is the convex hull of its corners, so it lies in the disk
+    # once its farthest corner does. That corner is more than half a side
+    # away, so the first test spares the common small disk the distance.
+    if (2.0 * max_range > area_side and math.hypot(
+            max(cx, area_side - cx), max(cy, area_side - cy)) <= max_range):
+        return (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side))
     while True:
         radius = max_range * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * np.pi)

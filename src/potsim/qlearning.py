@@ -95,9 +95,9 @@ class QTable:
     no-op, index 2j + 1 steps link j up by one FO quantum, index 2j + 2 steps
     it down.
 
-    A table read back by ``load`` holds only the trained rows of the greedy
-    walk (see ``save``), so it answers ``fo_assignment`` exactly as the
-    trained table does.
+    A table that ``train`` returns or ``load`` reads holds, per count, only
+    the rows ``fo_assignment`` reads (``_decode_rows``), so it answers every
+    decode exactly as the full table of the training walk does.
     """
 
     fo_quantum: int
@@ -194,11 +194,18 @@ class QTable:
             visited.append(state)
         return visited, absorbed
 
+    def _decode_rows(self, count: int) -> dict:
+        """The rows ``fo_assignment`` reads, in state order: the trained
+        states of the greedy walk from the all-zero state (see ``_rollout``).
+        """
+        sub = self.per_count[count]
+        return {state: sub[state]
+                for state in sorted(s for s in self._rollout(count)[0] if s in sub)}
+
     def save(self, path) -> None:
-        """Write, per count, only the rows ``fo_assignment`` reads: the
-        trained states of the greedy walk from the all-zero state (see
-        ``_rollout``). The loaded table therefore decodes every count to the
-        same prescription.
+        """Write, per count, only the rows ``fo_assignment`` reads
+        (``_decode_rows``). The loaded table therefore decodes every count to
+        the same prescription.
         """
         header = {
             "format": ARTIFACT_FORMAT,
@@ -210,13 +217,13 @@ class QTable:
             "counts": sorted(self.per_count),
         }
         arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-        for count, sub in self.per_count.items():
-            states = sorted(s for s in self._rollout(count)[0] if s in sub)
-            arrays[f"states_{count}"] = np.array(states, dtype=np.int64).reshape(
-                len(states), count)
+        for count in self.per_count:
+            rows = self._decode_rows(count)
+            arrays[f"states_{count}"] = np.array(list(rows), dtype=np.int64).reshape(
+                len(rows), count)
             arrays[f"values_{count}"] = np.array(
-                [sub[s] for s in states], dtype=float).reshape(
-                    len(states), self.num_actions(count))
+                list(rows.values()), dtype=float).reshape(
+                    len(rows), self.num_actions(count))
         np.savez_compressed(path, **arrays)
 
     @classmethod
@@ -370,6 +377,10 @@ def train(scenario_family, s_max: int, hyperparams: Hyperparams = None,
     reproducible independently of training order. ``counts`` restricts
     training to a subset of [1, s_max] (sharded budgets); the default trains
     every count.
+
+    Once a count is trained, its table keeps only the rows ``fo_assignment``
+    reads (``QTable._decode_rows``), the rows ``save`` writes, so memory
+    peaks at one count's working set rather than the sum over all counts.
     """
     if s_max < 1:
         raise ParameterError("s_max must be at least 1")
@@ -388,4 +399,5 @@ def train(scenario_family, s_max: int, hyperparams: Hyperparams = None,
             raise ConfigError("scenario family changed the FO quantum")
         walk_rng = np.random.default_rng([rng_seed, count, hp.ensemble])
         table.converged[count] = _train_one_count(table, count, evaluator, walk_rng)
+        table.per_count[count] = table._decode_rows(count)
     return table

@@ -5,7 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +153,26 @@ def test_drops_are_victim_centric():
             assert gap <= config.interference_radius + 1e-9
             assert aggressor.length <= config.max_link_range
             assert aggressor.entry_rank == aggressor.link_id + 1
+
+
+@pytest.mark.parametrize("field", ["interference_radius", "max_link_range"])
+def test_a_radius_far_above_the_area_runs_in_seconds(tmp_path, field):
+    # A disk that covers the area is drawn over the area at once; a 1e12 m
+    # radius once resampled its disk practically forever. A child process
+    # turns such a hang into a timeout instead of a stuck suite.
+    data = {"experiment": "outage_vs_aggressors", "overlap_mode": "full_overlap",
+            "num_drops": 2, field: 1e12}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(potsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "potsim.cli", "run", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "results.csv").exists()
 
 
 # ---------------------------------------------------------------------------

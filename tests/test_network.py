@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 import potsim
 from potsim import (
@@ -129,6 +130,53 @@ def test_paired_points_replay_the_numpy_formula():
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             redrawn += draws > 1
     assert redrawn > 300
+
+
+CENTERS = [(0.0, 0.0), (1000.0, 1000.0), (0.0, 500.0), (500.0, 500.0), (12.5, 640.0)]
+
+
+def farthest_corner(center, area_side=1000.0):
+    return max(math.hypot(center[0] - x, center[1] - y)
+               for x in (0.0, area_side) for y in (0.0, area_side))
+
+
+def test_disks_short_of_covering_the_area_replay_the_numpy_formula():
+    # Up to the largest radius that leaves the farthest corner outside, the
+    # disk is resampled as before, draw for draw.
+    for seed in range(40):
+        for center in CENTERS:
+            far = farthest_corner(center)
+            for max_range in (0.5 * far, 0.9 * far, math.nextafter(far, 0.0)):
+                rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+                point = sample_point_near(center, max_range, 1000.0, rng)
+                expected, _ = numpy_point_near(center, max_range, 1000.0, oracle_rng)
+                assert point == expected
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_a_disk_covering_the_area_draws_uniformly_over_it():
+    # A 1e12 m radius once resampled practically forever.
+    for center in CENTERS:
+        for max_range in (farthest_corner(center), 1500.0, 1e12, math.inf):
+            rng, oracle_rng = (np.random.default_rng(5) for _ in range(2))
+            point = sample_point_near(center, max_range, 1000.0, rng)
+            assert point == (oracle_rng.uniform(0.0, 1000.0),
+                             oracle_rng.uniform(0.0, 1000.0))
+            assert all(type(value) is float for value in point)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_the_direct_draw_matches_the_resampled_distribution():
+    # Resampling a covering disk converges to the uniform law on the area;
+    # a 1500 m disk still lands in the 1 km square one draw in seven.
+    direct = np.array([sample_point_near((300.0, 800.0), 1500.0, 1000.0,
+                                         np.random.default_rng([1, i]))
+                       for i in range(2000)])
+    resampled = np.array([numpy_point_near((300.0, 800.0), 1500.0, 1000.0,
+                                           np.random.default_rng([2, i]))[0]
+                          for i in range(2000)])
+    for axis in (0, 1):
+        assert stats.ks_2samp(direct[:, axis], resampled[:, axis]).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------
