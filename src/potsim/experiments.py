@@ -118,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown overlap mode {self.overlap_mode!r}")
         if self.num_drops < 1:
             raise ConfigError("num_drops must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         object.__setattr__(self, "snr_grid",
                            tuple(_snr_value(v) for v in self.snr_grid))
         if not all(is_integer(value) for value in self.aggressor_grid):

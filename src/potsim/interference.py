@@ -144,12 +144,11 @@ class EnsembleEvaluator:
             raise ConfigError("all drops must have the same link count")
         if len({d.fo_quantum for d in drops}) != 1:
             raise ConfigError("all drops must share the FO quantum")
-        self.drops = list(drops)
-        self.num_aggressors = len(self.drops[0].link_ids) - 1
-        self.fo_quantum = self.drops[0].fo_quantum
+        self.num_aggressors = len(drops[0].link_ids) - 1
+        self.fo_quantum = drops[0].fo_quantum
         # Stacked views over the ensemble keep one capacity query a single
         # vectorized gather, which is what makes training affordable.
-        self._cci = np.stack([d.cci for d in drops])
+        cci = np.stack([d.cci for d in drops])
         self._e_signal = np.stack([d.e_signal for d in drops])
         self._e_self = np.stack([d.e_self for d in drops])
         self._noise = np.stack([d.noise for d in drops])
@@ -157,8 +156,8 @@ class EnsembleEvaluator:
         # source-major as [source, drop, receiver]: a query adds the FO
         # differences, reads every entry with one take over the flattened
         # table, and folds the sources in order along axis 0.
-        ensemble, links, _, window = self._cci.shape
-        self._flat_cci = self._cci.reshape(-1)
+        ensemble, links, _, window = cci.shape
+        self._flat_cci = cci.reshape(-1)
         self._qdiff_zero = np.ascontiguousarray((np.arange(
             ensemble * links * links).reshape(ensemble, links, links) * window
             + self.fo_quantum - 1).transpose(1, 0, 2))

@@ -3,13 +3,13 @@
 Links are transmit/receive point pairs dropped on a square area. Each link
 keeps an aggressor counter that it updates from observed SINR changes, and
 on entry adopts the frequency offset a trained policy prescribes for its
-counter value, never reusing an offset another link has already claimed
-while an unclaimed quantized offset remains.
+counter value, never reusing an offset an active link already uses while an
+unused quantized offset remains.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,13 +123,14 @@ def entry_sequence(scenario: NetworkScenario, policy,
     ``measure(observer, entrant)``, which returns that dB pair) and updates
     its counter by the 3 dB rule; the entrant senses each active transmission
     the same way. The entrant then adopts the FO the policy prescribes for
-    its counter, skipping values other links already claimed while unclaimed
-    quantized offsets remain. Without a ``measure`` hook every transmission
-    is detected, which is the noiseless limit.
+    its counter, skipping offsets active links already use while unused
+    quantized offsets remain (``_pick_offset``). Without a ``measure`` hook
+    every transmission is detected, which is the noiseless limit.
 
     ``policy`` may be None (every link stays at FO zero, the fully
     overlapping baseline) or any object with fo_assignment(count) returning a
-    tuple of quantized FO indices for that many aggressors.
+    tuple of quantized FO indices for that many aggressors, or raising
+    PolicyUnavailableError for a count it has none for.
 
     Returns None: the outcome is each link's ``fo_index`` and
     ``aggressor_count``, as the entry left them.
@@ -137,7 +138,6 @@ def entry_sequence(scenario: NetworkScenario, policy,
     if measure is None:
         measure = lambda observer, entrant: (math.inf, 0.0)
     active = []
-    claimed_at_count = {}
     for entrant in scenario.by_entry_order():
         scenario.set_fo_index(entrant, 0)
         entrant.aggressor_count = 0
@@ -149,62 +149,27 @@ def entry_sequence(scenario: NetworkScenario, policy,
             update_aggressor_count(entrant, before, after)
         count = entrant.aggressor_count
         if count > 0 and policy is not None:
-            q = _pick_offset(scenario, policy, count,
-                             claimed_at_count.setdefault(count, set()),
-                             {link.fo_index for link in active})
-            scenario.set_fo_index(entrant, q)
-            claimed_at_count[count].add(entrant.fo_index)
+            scenario.set_fo_index(entrant, _pick_offset(
+                scenario, policy, count, {link.fo_index for link in active}))
         active.append(entrant)
 
 
 def _pick_offset(scenario: NetworkScenario, policy, count: int,
-                 claimed: set, in_use: set) -> int:
+                 in_use: set) -> int:
     """Choose the entrant's FO index from the policy's prescription.
 
-    Preference order: prescribed indices not yet used by any active link,
-    then any unused quantized index, then prescribed indices unclaimed at
-    this count, then the prescription slot for this entrant's arrival order.
+    The first prescribed index no active link uses; otherwise the lowest
+    unused quantized index; otherwise, once every offset is in use, the
+    first prescribed index. That last branch is the overflow rule, a model
+    choice: it piles late entrants onto the offsets their counts prescribe
+    first, which at S = 50 is often the victim's offset 0, so it sets the
+    gap between POT and full overlap that acceptance criterion 8 measures.
     """
-    prescription = _prescribed_indices(policy, count, scenario.fo_quantum)
-    for q in prescription:
-        if q not in in_use:
-            return q
-    for q in range(scenario.fo_quantum):
-        if q not in in_use:
-            return q
-    for q in prescription:
-        if q not in claimed:
-            return q
-    return prescription[len(claimed) % len(prescription)]
-
-
-def _prescribed_indices(policy, count: int, fo_quantum: int) -> list:
-    try:
-        assignment = policy.fo_assignment(count)
-    except (KeyError, PolicyUnavailableError) as exc:
-        raise PolicyUnavailableError(
-            f"policy has no table for aggressor count {count}") from exc
-    indices = [int(q) % fo_quantum for q in assignment]
-    if not indices:
+    prescription = [int(q) % scenario.fo_quantum
+                    for q in policy.fo_assignment(count)]
+    if not prescription:
         raise PolicyUnavailableError(f"policy returned no offsets for count {count}")
-    # Deduplicate preserving order so claim bookkeeping sees each value once.
-    return list(dict.fromkeys(indices))
-
-
-@dataclass
-class FixedAssignmentPolicy:
-    """Minimal policy mapping aggressor count to a fixed index tuple.
-
-    Useful for protocol tests and as the file-free stand-in for a trained
-    table.
-    """
-
-    assignments: dict
-    fallback: Optional[Sequence[int]] = None
-
-    def fo_assignment(self, count: int):
-        if count in self.assignments:
-            return tuple(self.assignments[count])
-        if self.fallback is not None:
-            return tuple(self.fallback)
-        raise PolicyUnavailableError(f"no assignment for count {count}")
+    for q in (*prescription, *range(scenario.fo_quantum)):
+        if q not in in_use:
+            return q
+    return prescription[0]

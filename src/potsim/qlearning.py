@@ -130,13 +130,8 @@ class QTable:
         return values
 
     def greedy(self, count: int, state: tuple) -> int:
-        """Greedy action index: the first maximum of the state's row.
-
-        PolicyUnavailableError when the count was never trained, KeyError
-        when the state has no row.
-        """
-        if count not in self.per_count or not self.per_count[count]:
-            raise PolicyUnavailableError(f"no trained table for count {count}")
+        """Greedy action index: the first maximum of the state's row;
+        KeyError when the count or the state has no row."""
         return int(np.argmax(self.per_count[count][state]))
 
     def fo_assignment(self, count: int) -> tuple:
@@ -148,15 +143,15 @@ class QTable:
         a state's value its remaining improvement rather than its quality;
         if the walk cycles, exhausts its step cap or reaches a state with no
         row instead of absorbing, the trained visited state with the smallest
-        value (least improvement left) is the best candidate. Raises KeyError
-        when the count was never trained so callers can substitute their own
-        fallback.
+        value (least improvement left) is the best candidate. Raises
+        PolicyUnavailableError when the count was never trained.
         """
         if count < 1:
             raise ParameterError("aggressor count must be at least 1")
-        if count not in self.per_count or not self.per_count[count]:
-            raise KeyError(count)
-        sub = self.per_count[count]
+        sub = self.per_count.get(count)
+        if not sub:
+            raise PolicyUnavailableError(
+                f"policy has no table for aggressor count {count}")
         visited, absorbed = self._rollout(count)
         if absorbed is not None:
             return absorbed
@@ -384,6 +379,8 @@ def train(scenario_family, s_max: int, hyperparams: Hyperparams = None,
     """
     if s_max < 1:
         raise ParameterError("s_max must be at least 1")
+    if rng_seed < 0:
+        raise ParameterError(f"rng_seed must be non-negative, got {rng_seed!r}")
     hp = hyperparams if hyperparams is not None else Hyperparams()
     table = QTable(fo_quantum=0, hyperparams=hp, seed=int(rng_seed))
     chosen = sorted(set(counts)) if counts is not None else list(range(1, s_max + 1))

@@ -101,10 +101,6 @@ class PrototypeFilter:
         self.samples.setflags(write=False)
 
     @property
-    def center_index(self) -> int:
-        return len(self.samples) // 2
-
-    @property
     def time_grid(self) -> np.ndarray:
         """Sample times in units of tau0."""
         n = len(self.samples)

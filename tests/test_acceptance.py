@@ -193,7 +193,7 @@ def time_domain_energies(pulse, victim_taps, aggressor_taps,
 
     def place(center):
         wave = np.zeros(n_grid)
-        start = origin + int(round(center * rate)) - pulse.center_index
+        start = origin + int(round(center * rate)) - len(pulse.samples) // 2
         wave[start:start + len(pulse.samples)] = pulse.samples
         return wave
 

@@ -473,6 +473,22 @@ def test_cli_run_rejects_a_mistyped_policy_field(tmp_path, capsys, field,
     assert not (out / "qtable.npz").exists()
 
 
+@pytest.mark.parametrize("command,seed_in_config", [
+    (["run", "--out", "out"], -1), (["run", "--out", "out", "--seed", "-3"], 5),
+    (["train", "--s-max", "1", "--out", "policy.npz", "--seed", "-2"], 5)])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, command,
+                                    seed_in_config):
+    # Each once exited 1 with numpy's "expected non-negative integer".
+    data = quick_config(overlap_mode="full_overlap").to_dict()
+    data["seed"] = seed_in_config
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--config", str(path)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_cli_reports_missing_artifacts(tmp_path):
     config = quick_config(train_if_missing=False)
     path = write_config(tmp_path, config)

@@ -392,15 +392,17 @@ def test_ensemble_evaluator_averages_per_drop_capacities(lattice, cross_gaussian
     assert evaluator.mean_sum_capacity(state) == pytest.approx(np.mean(per_drop), rel=1e-12)
 
 
-def take_along_axis_capacity(evaluator, state):
-    """The capacity query as one take_along_axis gather: the fast path's oracle."""
+def take_along_axis_capacity(drops, state):
+    """The capacity query as one take_along_axis gather over the drops'
+    stacked tables: the fast path's oracle."""
+    cci, e_signal, e_self, noise = (np.stack([getattr(d, name) for d in drops])
+                                    for name in ("cci", "e_signal", "e_self", "noise"))
     assignment = np.concatenate(([0], np.asarray(state, dtype=int)))
-    idx = assignment[:, None] - assignment[None, :] + evaluator.fo_quantum - 1
-    gathered = np.take_along_axis(
-        evaluator._cci, idx[None, :, :, None], axis=3)[..., 0]
+    idx = assignment[:, None] - assignment[None, :] + drops[0].fo_quantum - 1
+    gathered = np.take_along_axis(cci, idx[None, :, :, None], axis=3)[..., 0]
     e_oi = gathered.sum(axis=1)
     with np.errstate(divide="ignore"):
-        ratio = evaluator._e_signal / (evaluator._e_self + e_oi + evaluator._noise)
+        ratio = e_signal / (e_self + e_oi + noise)
     return float(np.log2(1.0 + ratio).sum(axis=1).mean())
 
 
@@ -422,8 +424,8 @@ def test_mean_sum_capacity_is_bit_identical_to_the_gather_oracle(count):
     rng = np.random.default_rng(count)
     # Without E_SI and noise a query has to guard against a zero denominator.
     for floor in (0.1, 0.0):
-        evaluator = EnsembleEvaluator([random_drop(count + 1, rng, floor)
-                                       for _ in range(3)])
+        drops = [random_drop(count + 1, rng, floor) for _ in range(3)]
+        evaluator = EnsembleEvaluator(drops)
         # The FO grid wraps: Q - 1 next to 0 reads the extreme columns 0
         # and 2Q - 2.
         wrap = [tuple((Q - 1) * (i % 2) for i in range(count)),
@@ -432,7 +434,7 @@ def test_mean_sum_capacity_is_bit_identical_to_the_gather_oracle(count):
                          for _ in range(200)]
         for state in wrap + random_states:
             assert (evaluator.mean_sum_capacity(state)
-                    == take_along_axis_capacity(evaluator, state))
+                    == take_along_axis_capacity(drops, state))
 
 
 def random_walk(count, rng, length=300):
@@ -480,13 +482,13 @@ def test_batch_query_is_bit_identical_to_the_gather_oracle(monkeypatch, route,
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = evaluator._mean_sum_capacities(batch)
-            assert got == [take_along_axis_capacity(evaluator, state)
+            assert got == [take_along_axis_capacity(drops, state)
                            for state in batch]
             capacities += got
             start += size
         assert any(map(math.isinf, capacities)) == (floor == 0.0)
         assert (evaluator.mean_sum_capacity(states[-1])
-                == take_along_axis_capacity(evaluator, states[-1]))
+                == take_along_axis_capacity(drops, states[-1]))
 
 
 def test_zero_noise_and_zero_self_interference_give_infinite_capacity():

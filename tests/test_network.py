@@ -15,12 +15,12 @@ from potsim import (
     NetworkScenario,
     ParameterError,
     PolicyUnavailableError,
+    QTable,
     entry_sequence,
     generate_drop,
     sample_point_near,
     update_aggressor_count,
 )
-from potsim.network import FixedAssignmentPolicy
 
 #: Default geometry: a 1 km square, 100 m links, the 200 kHz 12x12 lattice.
 CONFIG = ExperimentConfig(experiment="capacity_vs_aggressors")
@@ -40,14 +40,22 @@ def fresh_scenario(num_links, seed=0):
     return scenario
 
 
-def recording_policy(fallback):
-    """A fixed policy that lists, in order, the counts it is consulted at."""
-    fixed = FixedAssignmentPolicy({}, fallback=fallback)
+def fixed_policy(prescriptions):
+    """A policy prescribing ``prescriptions[count]`` from a dict, or the same
+    tuple at every count."""
+    if isinstance(prescriptions, dict):
+        return types.SimpleNamespace(fo_assignment=prescriptions.__getitem__)
+    return types.SimpleNamespace(fo_assignment=lambda count: prescriptions)
+
+
+def recording_policy(prescription):
+    """A policy prescribing the same tuple at every count that lists, in
+    order, the counts it is consulted at."""
     consulted = []
 
     def fo_assignment(count):
         consulted.append(count)
-        return fixed.fo_assignment(count)
+        return prescription
 
     return types.SimpleNamespace(fo_assignment=fo_assignment), consulted
 
@@ -220,7 +228,7 @@ def test_infinite_drop_counts_once():
 @pytest.mark.parametrize("num_links", [2, 3, 4, 5])
 def test_noiseless_counting_converges_to_true_aggressor_number(num_links):
     scenario = fresh_scenario(num_links, seed=num_links)
-    policy = FixedAssignmentPolicy({}, fallback=tuple(range(8)))
+    policy = fixed_policy(tuple(range(8)))
     entry_sequence(scenario, policy)
     for link in scenario.links:
         assert link.aggressor_count == num_links - 1
@@ -244,7 +252,7 @@ def test_sole_link_keeps_zero_offset():
 
 def test_two_links_end_with_distinct_quantized_offsets():
     scenario = fresh_scenario(2, seed=5)
-    policy = FixedAssignmentPolicy({1: (4,)})
+    policy = fixed_policy({1: (4,)})
     entry_sequence(scenario, policy)
     first, second = scenario.by_entry_order()
     assert first.fo_index == 0
@@ -253,7 +261,7 @@ def test_two_links_end_with_distinct_quantized_offsets():
 
 def test_second_entrant_ends_with_two_aggressors_and_its_own_offset():
     scenario = fresh_scenario(3, seed=2)
-    policy = FixedAssignmentPolicy({1: (4,), 2: (2, 6)})
+    policy = fixed_policy({1: (4,), 2: (2, 6)})
     entry_sequence(scenario, policy)
     by_order = scenario.by_entry_order()
     assert by_order[1].aggressor_count == 2
@@ -264,15 +272,39 @@ def test_no_duplicate_offsets_while_unclaimed_offsets_remain():
     scenario = fresh_scenario(8, seed=13)
     # A policy that keeps prescribing the same index must still spread links
     # over the quantized grid while unused offsets exist.
-    policy = FixedAssignmentPolicy({}, fallback=(4,))
+    policy = fixed_policy((4,))
     entry_sequence(scenario, policy)
     offsets = [link.fo_index for link in scenario.links]
     assert len(set(offsets)) == len(offsets)
 
 
+@pytest.mark.parametrize("sensed", [False, True])
+def test_overflow_rule_takes_the_first_prescribed_offset(sensed):
+    # Twelve links on eight offsets, every count prescribing (4, 2). The
+    # second and third entrants take prescribed offsets, the next five the
+    # lowest unused ones, and once every offset is in use the rest take the
+    # first prescribed offset. In the sensed drop every entrant hears only
+    # the first link, so count 1 repeats and the same rule still holds.
+    scenario = fresh_scenario(12, seed=17)
+    first = scenario.by_entry_order()[0]
+    measure = None
+    if sensed:
+        def measure(observer, heard):
+            return (10.0, 2.0) if heard is first else (10.0, 9.5)
+    policy, consulted = recording_policy((4, 2))
+    entry_sequence(scenario, policy, measure=measure)
+    assert consulted == ([1] * 11 if sensed else list(range(1, 12)))
+    assert [link.fo_index for link in scenario.by_entry_order()] == [
+        0,
+        4, 2,              # first prescribed index no active link uses
+        1, 3, 5, 6, 7,     # lowest unused quantized index
+        4, 4, 4, 4,        # every offset in use: the first prescribed index
+    ]
+
+
 def test_replaying_the_sequence_is_idempotent():
     scenario = fresh_scenario(4, seed=21)
-    policy = FixedAssignmentPolicy({}, fallback=(1, 5, 3))
+    policy = fixed_policy((1, 5, 3))
     assert entry_sequence(scenario, policy) is None
     first = [link.fo_index for link in scenario.links]
     entry_sequence(scenario, policy)
@@ -289,10 +321,17 @@ def test_full_overlap_baseline_keeps_all_offsets_at_zero():
 
 
 def test_missing_count_level_raises_policy_unavailable():
+    # A table trained for one aggressor only: the third entrant counts two.
     scenario = fresh_scenario(3, seed=4)
-    policy = FixedAssignmentPolicy({1: (2,)})
-    with pytest.raises(PolicyUnavailableError):
+    policy = QTable(fo_quantum=8, per_count={1: {(0,): np.zeros(3)}})
+    with pytest.raises(PolicyUnavailableError, match="aggressor count 2"):
         entry_sequence(scenario, policy)
+
+
+def test_an_empty_prescription_raises_policy_unavailable():
+    scenario = fresh_scenario(2, seed=4)
+    with pytest.raises(PolicyUnavailableError, match="no offsets for count 1"):
+        entry_sequence(scenario, fixed_policy(()))
 
 
 def test_event_isolated_measure_drives_the_counters():
@@ -305,7 +344,7 @@ def test_event_isolated_measure_drives_the_counters():
                      observer.rp_position[1] - entrant.tp_position[1])
         return (10.0, 2.0) if d <= 300.0 else (10.0, 9.5)
 
-    policy = FixedAssignmentPolicy({}, fallback=tuple(range(8)))
+    policy = fixed_policy(tuple(range(8)))
     entry_sequence(scenario, policy, measure=measure)
     for link in scenario.links:
         nearby = sum(
@@ -316,11 +355,3 @@ def test_event_isolated_measure_drives_the_counters():
     # Some entries went unnoticed, so the hook, not the link count, decided.
     assert min(link.aggressor_count for link in scenario.links) < 5
 
-
-def test_fixed_policy_falls_back_then_refuses():
-    policy = FixedAssignmentPolicy({2: (1, 3)}, fallback=(0,))
-    assert policy.fo_assignment(2) == (1, 3)
-    assert policy.fo_assignment(7) == (0,)
-    strict = FixedAssignmentPolicy({2: (1, 3)})
-    with pytest.raises(PolicyUnavailableError):
-        strict.fo_assignment(7)

@@ -156,12 +156,17 @@ def test_greedy_on_a_state_without_a_row_is_a_key_error():
                           (4,): np.array([0.0, 0.0, 1.0])}
     with pytest.raises(KeyError):
         table.greedy(1, (7,))
+    with pytest.raises(KeyError):
+        table.greedy(2, (0, 0))
 
 
 def test_untrained_count_is_a_policy_error():
+    # A count whose table holds no row is as untrained as an absent one.
     table = QTable(fo_quantum=Q)
-    with pytest.raises(PolicyUnavailableError):
-        table.greedy(2, (0, 0))
+    table.per_count[2] = {}
+    with pytest.raises(PolicyUnavailableError,
+                       match="no table for aggressor count 2"):
+        table.fo_assignment(2)
 
 
 def test_decode_returns_the_absorbing_state_of_the_greedy_walk():
@@ -201,7 +206,8 @@ def test_decode_stops_at_the_first_state_without_a_row():
 
 def test_decode_requires_a_trained_count():
     table = QTable(fo_quantum=Q)
-    with pytest.raises(KeyError):
+    with pytest.raises(PolicyUnavailableError,
+                       match="no table for aggressor count 1"):
         table.fo_assignment(1)
     with pytest.raises(ParameterError):
         table.fo_assignment(0)
@@ -570,6 +576,13 @@ def test_training_is_seed_deterministic():
     # Another seed may keep other states, so whole row sets are compared.
     assert rows(11) == rows(11)
     assert rows(11) != rows(12)
+
+
+def test_training_rejects_a_negative_seed():
+    # numpy's seed sequence once raised its own ValueError here.
+    with pytest.raises(ParameterError, match="rng_seed"):
+        train(synthetic_family(), 1, Hyperparams(ensemble=1, episodes=1),
+              rng_seed=-1)
 
 
 def test_trained_assignments_match_exhaustive_search_on_a_fixed_geometry():
