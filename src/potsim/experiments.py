@@ -198,15 +198,16 @@ def generate_drop(config: ExperimentConfig, num_aggressors: int,
     victim_tp = tuple(rng.uniform(0.0, config.area_side, size=2))
     victim_rp = sample_point_near(victim_tp, config.max_link_range,
                                   config.area_side, rng)
+    # tau0 * rng.random() is rng.uniform(0.0, tau0) to the bit.
     links = [Link(link_id=0, tp_position=victim_tp, rp_position=victim_rp,
-                  entry_rank=1, timing_offset=float(rng.uniform(0.0, tau0)))]
+                  entry_rank=1, timing_offset=tau0 * rng.random())]
     for j in range(num_aggressors):
         tp = sample_point_near(victim_rp, config.interference_radius,
                                config.area_side, rng)
         rp = sample_point_near(tp, config.max_link_range, config.area_side, rng)
         links.append(Link(link_id=j + 1, tp_position=tp, rp_position=rp,
                           entry_rank=j + 2,
-                          timing_offset=float(rng.uniform(0.0, tau0))))
+                          timing_offset=tau0 * rng.random()))
     return NetworkScenario(links=links, area_side=config.area_side,
                            max_link_range=config.max_link_range,
                            lattice=lattice, fo_quantum=config.fo_quantum)

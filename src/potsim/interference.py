@@ -25,10 +25,6 @@ from .waveform import CrossAmbiguity
 _WHOLE_GATHER_CELLS = 3000
 
 
-def _relative_delay(aggressor, victim, tau0: float) -> float:
-    return (aggressor.timing_offset - victim.timing_offset) % tau0
-
-
 def _own_energies(cross_amb: CrossAmbiguity, realization) -> tuple:
     """Signal and self-interference energy of a link over its own channel.
 
@@ -61,18 +57,17 @@ def victim_energy_tables(victim, aggressors, realizations,
     any assignment without touching the channel convolution again, which is
     what lets one drop serve several overlap modes.
     """
-    lattice = cross_amb.lattice
-    for source in [victim] + list(aggressors):
-        key = (source.link_id, victim.link_id)
-        if key not in realizations:
-            raise ConfigError(f"missing channel realization for {key}")
-    e_signal, e_self = _own_energies(
-        cross_amb, realizations[(victim.link_id, victim.link_id)])
-    profiles = np.zeros((len(aggressors), 2 * cross_amb.fo_quantum - 1))
-    for i, aggressor in enumerate(aggressors):
-        rel_delay = _relative_delay(aggressor, victim, lattice.tau0)
-        profiles[i] = cross_amb.cci_energy_profile(
-            realizations[(aggressor.link_id, victim.link_id)], rel_delay)
+    try:
+        own = realizations[(victim.link_id, victim.link_id)]
+        incoming = [realizations[(aggressor.link_id, victim.link_id)]
+                    for aggressor in aggressors]
+    except KeyError as missing:
+        raise ConfigError(
+            f"missing channel realization for {missing.args[0]}") from None
+    e_signal, e_self = _own_energies(cross_amb, own)
+    tau0, start = cross_amb.lattice.tau0, victim.timing_offset
+    profiles = cross_amb.cci_energy_profiles(
+        incoming, [(aggressor.timing_offset - start) % tau0 for aggressor in aggressors])
     return e_signal, e_self, profiles
 
 

@@ -10,6 +10,7 @@ summing tap_gain * A(..., tap_delay) over channel taps reproduces the carrier
 rotation a delayed waveform physically picks up.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,9 @@ DEFAULT_SAMPLE_RATE = 16
 # fixed point where both periodization conditions hold simultaneously.
 _IOTA_PASSES = 4
 
-# Powers of the local coordinate in the single-tap CCI energy polynomial:
-# |cubic|^2 has degree 6.
-_DEGREES = np.arange(7)
+# Powers of the local coordinate in the single-tap CCI energy polynomial
+# (|cubic|^2 has degree 6), as a column: one row of powers per tap.
+_DEGREES = np.arange(7)[:, None]
 
 
 @dataclass(frozen=True)
@@ -425,7 +426,7 @@ class CrossAmbiguity:
     For a single channel tap at a total delay in [0, tau0] the CCI energy
     profile needs no spline evaluation at all: it is one degree-6
     polynomial per sample interval of the delay and FO difference, built
-    once from the spline's own coefficients (see ``cci_energy_profile``).
+    once from the spline's own coefficients (see ``cci_energy_profiles``).
 
     The receiver demodulates ``reference_subcarrier`` (n0 = N // 2), so the
     subcarrier offsets run over delta_n in [-n0, N - 1 - n0] and every
@@ -455,8 +456,8 @@ class CrossAmbiguity:
         # edges, which the circular FO grid of the network model relies on.
         self.reference_subcarrier = n_sub // 2
         q = self.fo_quantum
-        self._j0 = -self.reference_subcarrier * q - (q - 1)
-        js = np.arange(self._j0, (n_sub - 1 - self.reference_subcarrier) * q + q)
+        j0 = -self.reference_subcarrier * q - (q - 1)
+        js = np.arange(j0, (n_sub - 1 - self.reference_subcarrier) * q + q)
         freqs = js * lattice.density / self.fo_quantum
         u = rx_filter.time_grid
         phases = np.exp(2j * np.pi * np.outer(u, freqs))
@@ -468,10 +469,13 @@ class CrossAmbiguity:
         table = (products / rate) @ phases
         self._spline = _NotAKnotSpline(lags, table)
         self._freqs = freqs
-        self._n_sub = n_sub
-        # Row qdiff + Q - 1 holds the N columns of one signed FO difference.
+        # Row qdiff + Q - 1 holds the N columns of one signed FO difference,
+        # in transmit-subcarrier order: entry n is the column of
+        # delta_n = n - n0, so the reference subcarrier's own column sits at
+        # position n0.
+        delta_n = np.arange(n_sub) - self.reference_subcarrier
         qdiffs = np.arange(-(q - 1), q)
-        self._profile_columns = self._column_index(0)[None, :] + qdiffs[:, None]
+        self._profile_columns = delta_n[None, :] * q + qdiffs[:, None] - j0
         self._single_tap = self._single_tap_kernel(lag_count)
         # Twisted values at rel_delay 0, keyed by tuple(tap_delays).
         self._own_values = {}
@@ -513,17 +517,6 @@ class CrossAmbiguity:
     def _twist(self, lags: np.ndarray) -> np.ndarray:
         return np.exp(-2j * np.pi * np.multiply.outer(lags, self._freqs))
 
-    def _column_index(self, qdiff: int) -> np.ndarray:
-        """Columns of one FO difference, in transmit-subcarrier order.
-
-        Entry n of the result is the column of delta_n = n - n0, so the
-        reference subcarrier's own column sits at position n0.
-        """
-        if not -self.fo_quantum < qdiff < self.fo_quantum:
-            raise ConfigError("FO difference outside the quantized grid")
-        delta_n = np.arange(self._n_sub) - self.reference_subcarrier
-        return delta_n * self.fo_quantum + qdiff - self._j0
-
     def convolved_full(self, realization, rel_delay: float) -> np.ndarray:
         """Channel-convolved ambiguity over the whole frequency index grid.
 
@@ -538,26 +531,24 @@ class CrossAmbiguity:
         change from call to call, so a memo hit returns what a fresh
         evaluation would, bit for bit.
         """
-        tau0 = self.lattice.tau0
-        delays = np.asarray(realization.tap_delays) / tau0 + rel_delay / tau0
         if rel_delay == 0.0:
             key = tuple(realization.tap_delays)
             values = self._own_values.get(key)
             if values is None:
-                values = self._tap_values(delays)
+                values = self._tap_values(realization.tap_delays, rel_delay)
                 values.setflags(write=False)
                 self._own_values[key] = values
         else:
-            values = self._tap_values(delays)
+            values = self._tap_values(realization.tap_delays, rel_delay)
         gains = np.asarray(realization.tap_gains)
         block = np.einsum("t,ltj->lj", gains, values)
-        return np.sqrt(realization.path_gain) * block
+        return math.sqrt(realization.path_gain) * block
 
-    def _tap_values(self, delays: np.ndarray) -> np.ndarray:
-        """Twisted lag-table values A(dl, j, delay), shape (2K - 1, taps, J).
-
-        ``delays`` are the total tap delays in tau0 units.
-        """
+    def _tap_values(self, tap_delays, rel_delay: float) -> np.ndarray:
+        """Twisted lag-table values A(dl, j, delay), shape (2K - 1, taps, J),
+        at the total tap delays tap_delays + rel_delay (seconds)."""
+        tau0 = self.lattice.tau0
+        delays = np.asarray(tap_delays) / tau0 + rel_delay / tau0
         if np.any(np.abs(delays) >= self.max_lag):
             raise ParameterError("tap delay exceeds the filter span")
         lags = self.delta_l[:, None] + delays[None, :]
@@ -571,32 +562,65 @@ class CrossAmbiguity:
         return values * self._twist(lags)
 
     def convolved_block(self, realization, rel_delay: float, qdiff: int) -> np.ndarray:
-        """Channel-convolved ambiguity block at one quantized FO difference."""
-        return self.convolved_full(realization, rel_delay)[:, self._column_index(qdiff)]
+        """Channel-convolved ambiguity block at one quantized FO difference.
+
+        Column n holds transmit subcarrier offset delta_n = n - n0.
+        """
+        q = self.fo_quantum
+        if not -q < qdiff < q:
+            raise ConfigError("FO difference outside the quantized grid")
+        return self.convolved_full(realization, rel_delay)[
+            :, self._profile_columns[qdiff + q - 1]]
 
     def cci_energy_profile(self, realization, rel_delay: float) -> np.ndarray:
-        """CCI energy for every signed FO difference, indexed qdiff + Q - 1.
+        """One pair's row of ``cci_energy_profiles``."""
+        return self.cci_energy_profiles([realization], [rel_delay])[0]
 
-        Entry q sums |A|^2 over delta_l in (-K, K) and the N columns of FO
-        difference q. For one tap at total delay x = (rel_delay +
-        tap_delay) / tau0 in [0, 1], which every AWGN pair meets, the twist
-        and the tap phase drop out of |A|^2 and the sum is
-        path_gain * |g|^2 times the precomputed polynomial of x's sample
-        interval; it agrees with the spline route to rounding. Other
-        realizations go through ``convolved_full``.
+    def cci_energy_profiles(self, realizations, rel_delays) -> np.ndarray:
+        """CCI energy profiles of many pairs, shape (pairs, 2Q - 1).
+
+        Entry [i, qdiff + Q - 1] sums |A|^2 of pair i (channel
+        ``realizations[i]`` at relative delay ``rel_delays[i]`` seconds) over
+        delta_l in (-K, K) and the N columns of FO difference qdiff. For one
+        tap at total delay x = (rel_delay + tap_delay) / tau0 in [0, 1],
+        which every AWGN pair meets, the twist and the tap phase drop out of
+        |A|^2 and the sum is path_gain * |g|^2 times the precomputed
+        polynomial of x's sample interval at the local coordinate
+        t = x - k / rate. All such pairs are evaluated together, bit for bit
+        as one at a time, and agree with the spline route to rounding. Other
+        realizations go through ``convolved_full`` one by one.
         """
         tau0 = self.lattice.tau0
-        if len(realization.tap_delays) == 1:
-            x = float(realization.tap_delays[0]) / tau0 + rel_delay / tau0
-            if 0.0 <= x <= 1.0:
-                rate = self.rx_filter.sample_rate
-                k = min(int(x * rate), rate - 1)
-                powers = (x - k / rate) ** _DEGREES
-                gain = abs(complex(realization.tap_gains[0])) ** 2
-                return (realization.path_gain * gain) * (self._single_tap[k] @ powers)
-        full = self.convolved_full(realization, rel_delay)
-        column_power = np.sum(np.abs(full) ** 2, axis=0)
-        return column_power[self._profile_columns].sum(axis=1)
+        rate = self.rx_filter.sample_rate
+        intervals, offsets, scales, spline = [], [], [], []
+        for i, (realization, rel_delay) in enumerate(zip(realizations, rel_delays)):
+            if len(realization.tap_delays) == 1:
+                x = float(realization.tap_delays[0]) / tau0 + rel_delay / tau0
+                if 0.0 <= x <= 1.0:
+                    k = min(int(x * rate), rate - 1)
+                    intervals.append(k)
+                    offsets.append(x - k / rate)
+                    scales.append(realization.path_gain
+                                  * abs(complex(realization.tap_gains[0])) ** 2)
+                    continue
+            spline.append(i)
+        # One gather of the interval polynomials, one array of powers of t
+        # and one stacked matrix-vector product, however many taps.
+        offsets, scales = np.array((offsets, scales))
+        energies = self._single_tap.take(intervals, axis=0) @ (
+            offsets[:, None, None] ** _DEGREES)
+        energies *= scales[:, None, None]
+        if not spline:
+            return energies[:, :, 0]
+        kernel = np.ones(len(realizations), dtype=bool)
+        kernel[spline] = False
+        profiles = np.empty((len(realizations), len(self._profile_columns)))
+        profiles[kernel] = energies[:, :, 0]
+        for i in spline:
+            full = self.convolved_full(realizations[i], rel_delays[i])
+            column_power = np.sum(np.abs(full) ** 2, axis=0)
+            profiles[i] = column_power[self._profile_columns].sum(axis=1)
+        return profiles
 
 
 def filter_factory(family: str, dispersion: float,

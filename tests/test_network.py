@@ -21,6 +21,7 @@ from potsim import (
     sample_point_near,
     update_aggressor_count,
 )
+from potsim.experiments import train_policy
 
 #: Default geometry: a 1 km square, 100 m links, the 200 kHz 12x12 lattice.
 CONFIG = ExperimentConfig(experiment="capacity_vs_aggressors")
@@ -300,6 +301,58 @@ def test_overflow_rule_takes_the_first_prescribed_offset(sensed):
         1, 3, 5, 6, 7,     # lowest unused quantized index
         4, 4, 4, 4,        # every offset in use: the first prescribed index
     ]
+
+
+def test_the_overflow_rule_reads_only_the_first_prescribed_offset():
+    # Once every offset is in use, the entrant goes straight to the first
+    # prescribed offset; before that it reads the prescription only up to
+    # the offset it takes.
+    class Prescription(tuple):
+        def __iter__(self):
+            for q in tuple.__iter__(self):
+                read.append(q)
+                yield q
+
+    read = []
+    scenario = fresh_scenario(12, seed=17)
+    long_prescription = Prescription((4, 2) + (0,) * 48)
+    entry_sequence(scenario, fixed_policy(long_prescription))
+    # Entrants 2 and 3 take 4 and 2, the next five read the whole
+    # prescription before the lowest unused offset, the last four only 4.
+    assert len(read) == 1 + 2 + 5 * 50 + 4 * 1
+    assert [link.fo_index for link in scenario.by_entry_order()] == [
+        0, 4, 2, 1, 3, 5, 6, 7, 4, 4, 4, 4]
+
+
+@pytest.fixture(scope="module")
+def policy_to_fifty():
+    """A policy trained for counts 1..50 on a token budget: what it
+    prescribes does not matter here, only that a trained table decodes it."""
+    config = ExperimentConfig(
+        experiment="capacity_vs_aggressors", seed=3,
+        train_overrides={"episodes": 2, "ensemble": 1, "steps_per_episode": 4})
+    return train_policy(config, 50)
+
+
+@pytest.mark.parametrize("trained", [True, False])
+def test_exact_counting_equals_the_always_detect_hook(trained, policy_to_fifty):
+    # Without a hook the counts are set in O(S); a hook that detects every
+    # transmission replays the pairwise 3 dB rule and must agree link for
+    # link, offsets included.
+    policy = policy_to_fifty if trained else None
+    spread = 0
+    for num_links in (1, 2, 3, 8, 9, 10, 21, 51):
+        for seed in range(3):
+            exact = fresh_scenario(num_links, seed=seed)
+            heard = fresh_scenario(num_links, seed=seed)
+            entry_sequence(exact, policy)
+            entry_sequence(heard, policy, measure=lambda o, e: (math.inf, 0.0))
+            outcome = [(link.aggressor_count, link.fo_index) for link in exact.links]
+            assert outcome == [(link.aggressor_count, link.fo_index)
+                               for link in heard.links]
+            assert all(count == num_links - 1 for count, _ in outcome)
+            spread += any(q != 0 for _, q in outcome)
+    assert spread > 0 if trained else spread == 0
 
 
 def test_replaying_the_sequence_is_idempotent():

@@ -486,9 +486,16 @@ def spline_cci_profile(cross, realization, rel_delay):
     """CCI energy profile summed from ``convolved_full``: the kernel's oracle."""
     full = cross.convolved_full(realization, rel_delay)
     column_power = np.sum(np.abs(full) ** 2, axis=0)
-    qdiffs = np.arange(-(cross.fo_quantum - 1), cross.fo_quantum)
-    cols = cross._column_index(0)[None, :] + qdiffs[:, None]
-    return column_power[cols].sum(axis=1)
+    return column_power[profile_columns(cross)].sum(axis=1)
+
+
+def profile_columns(cross):
+    """Columns of every (qdiff, delta_n): the lag table's frequency index j
+    counts from j = 0 at delta_n = -n0, qdiff = -(Q - 1)."""
+    q = cross.fo_quantum
+    delta_n = np.arange(cross.lattice.num_subcarriers) - cross.reference_subcarrier
+    qdiffs = np.arange(-(q - 1), q)
+    return (delta_n[None, :] + cross.reference_subcarrier) * q + qdiffs[:, None] + q - 1
 
 
 @pytest.fixture(scope="module", params=["gaussian", "rrc", "iota"])
@@ -555,6 +562,111 @@ def test_single_tap_beyond_one_symbol_takes_the_spline_route(
     monkeypatch.undo()
     assert np.array_equal(profile, spline_cci_profile(cross_gaussian, realization,
                                                       rel_delay * tau0))
+
+
+def per_pair_single_tap_profile(cross, realization, rel_delay):
+    """The one-pair single-tap formula that ``cci_energy_profiles`` batches,
+    kept as its == oracle: the degree-6 polynomial of x's sample interval
+    at x's local coordinate, times path_gain * |g|^2."""
+    tau0 = cross.lattice.tau0
+    x = float(realization.tap_delays[0]) / tau0 + rel_delay / tau0
+    assert 0.0 <= x <= 1.0
+    rate = cross.rx_filter.sample_rate
+    k = min(int(x * rate), rate - 1)
+    powers = (x - k / rate) ** np.arange(7)
+    gain = abs(complex(realization.tap_gains[0])) ** 2
+    return (realization.path_gain * gain) * (cross._single_tap[k] @ powers)
+
+
+@pytest.fixture(scope="module")
+def dyadic_cross(cross_family):
+    """cross_family's pulses on a lattice whose tau0 is a power of two, so
+    that a delay of x * tau0 reads exactly x, knots k / rate included."""
+    lattice = LatticeConfig(tau0=2.0 ** -14, nu0=2.0 ** 14,
+                            num_subcarriers=12, num_symbols=12)
+    return CrossAmbiguity(cross_family.tx_filter, cross_family.rx_filter,
+                          lattice, fo_quantum=8)
+
+
+def single_taps(count, rng, tap_delay=0.0):
+    return [potsim.ChannelRealization(
+        path_gain=float(rng.uniform(1e-12, 2.0)), tap_delays=(tap_delay,),
+        tap_gains=(complex(rng.standard_normal(), rng.standard_normal()),))
+        for _ in range(count)]
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_batched_single_tap_profiles_equal_the_per_pair_formula(
+        cross_family, dyadic_cross, dyadic, monkeypatch):
+    cross = dyadic_cross if dyadic else cross_family
+    tau0 = cross.lattice.tau0
+    rate = cross.rx_filter.sample_rate
+    rng = np.random.default_rng(41)
+    # x = 0, every knot k / rate, x = 1 (the last interval, clamped to
+    # rate - 1, read at its right end) and random delays in between.
+    knots = [k / rate * tau0 for k in range(rate + 1)]
+    if dyadic:
+        assert [delay / tau0 for delay in knots] == [k / rate for k in range(rate + 1)]
+    delays = knots + list(rng.random(300) * tau0)
+    realizations = single_taps(len(delays), rng)
+    # A tap delay adds to the relative delay.
+    realizations += single_taps(20, rng, tap_delay=0.25 * tau0)
+    delays += list(rng.random(20) * 0.75 * tau0)
+    calls = count_general_path_calls(monkeypatch, cross)
+    batch = cross.cci_energy_profiles(realizations, delays)
+    assert calls == []
+    monkeypatch.undo()
+    assert batch.shape == (len(delays), 2 * cross.fo_quantum - 1)
+    for row, realization, rel_delay in zip(batch, realizations, delays):
+        assert np.array_equal(
+            row, per_pair_single_tap_profile(cross, realization, rel_delay))
+        assert np.array_equal(row, cross.cci_energy_profile(realization, rel_delay))
+
+
+def test_multi_tap_and_out_of_span_pairs_take_the_spline_route_in_a_batch(
+        cross_family, monkeypatch):
+    tau0 = cross_family.lattice.tau0
+    rng = np.random.default_rng(43)
+    kernel = single_taps(3, rng)
+    beyond = single_taps(2, rng)
+    pairs = [(kernel[0], 0.1 * tau0), (epa_realization(6), 0.4 * tau0),
+             (beyond[0], -0.25 * tau0), (kernel[1], 0.7 * tau0),
+             (beyond[1], 1.5 * tau0), (epa_realization(7), 0.0),
+             (kernel[2], 1.0 * tau0)]
+    realizations, delays = (list(column) for column in zip(*pairs))
+    calls = count_general_path_calls(monkeypatch, cross_family)
+    batch = cross_family.cci_energy_profiles(realizations, delays)
+    assert [args[0] for args in calls] == [realizations[i] for i in (1, 2, 4, 5)]
+    monkeypatch.undo()
+    for i, (realization, rel_delay) in enumerate(pairs):
+        if i in (1, 2, 4, 5):
+            expected = spline_cci_profile(cross_family, realization, rel_delay)
+        else:
+            expected = per_pair_single_tap_profile(cross_family, realization, rel_delay)
+        assert np.array_equal(batch[i], expected), i
+
+
+def test_no_pairs_give_an_empty_profile_table(cross_gaussian):
+    profiles = cross_gaussian.cci_energy_profiles([], [])
+    assert profiles.shape == (0, 2 * cross_gaussian.fo_quantum - 1)
+    assert profiles.dtype == float
+
+
+def test_convolved_block_reads_the_columns_of_its_fo_difference(cross_gaussian):
+    realization = epa_realization(8)
+    rel_delay = 0.3 * cross_gaussian.lattice.tau0
+    full = cross_gaussian.convolved_full(realization, rel_delay)
+    q = cross_gaussian.fo_quantum
+    for qdiff in range(-(q - 1), q):
+        assert np.array_equal(
+            cross_gaussian.convolved_block(realization, rel_delay, qdiff),
+            full[:, profile_columns(cross_gaussian)[qdiff + q - 1]])
+
+
+@pytest.mark.parametrize("qdiff", [-8, 8, 15, -100])
+def test_convolved_block_rejects_an_fo_difference_off_the_grid(cross_gaussian, qdiff):
+    with pytest.raises(ConfigError, match="outside the quantized grid"):
+        cross_gaussian.convolved_block(unit_tap(), 0.0, qdiff)
 
 
 # ---------------------------------------------------------------------------
