@@ -7,8 +7,10 @@ into FO prescriptions that the entry protocol hands to arriving links.
 """
 
 import json
+import os
 import zipfile
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +364,114 @@ def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
     return False
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform does not say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _train_count(scenario_family, hp: Hyperparams, rng_seed: int, count: int):
+    """(decode rows, converged, FO quantum) of one count, trained on its own
+    drops and walk stream, which depend only on (rng_seed, count)."""
+    drops = [scenario_family(count + 1, np.random.default_rng([rng_seed, count, d]))
+             for d in range(hp.ensemble)]
+    evaluator = EnsembleEvaluator(drops)
+    table = QTable(fo_quantum=evaluator.fo_quantum, hyperparams=hp, seed=rng_seed)
+    walk_rng = np.random.default_rng([rng_seed, count, hp.ensemble])
+    converged = _train_one_count(table, count, evaluator, walk_rng)
+    return table._decode_rows(count), converged, evaluator.fo_quantum
+
+
+def _train_counts(train_count, chosen: list) -> dict:
+    """{count: train_count(count)} over min(len(chosen), usable CPUs)
+    workers: forked ones where the ``fork`` start method exists and this
+    process may have children (a daemonic worker may not), else this
+    process alone, in ``chosen`` order."""
+    workers = min(len(chosen), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            return _train_forked(train_count, chosen, workers,
+                                 multiprocessing.get_context("fork"))
+    return {count: train_count(count) for count in chosen}
+
+
+def _train_forked(train_count, chosen: list, workers: int, ctx) -> dict:
+    """Train ``chosen`` here and in ``workers - 1`` forked children.
+
+    This process claims the largest count before it forks, so the traced
+    hooks always see one count trained in-process; then every worker takes
+    the next count from one largest-first queue. A child returns its
+    results once the queue is empty, stops at the first error (emptying the
+    queue for the others) and at the latest after its current count once
+    this process has gone. On any error here the children are terminated.
+    """
+    order = sorted(chosen, reverse=True)
+    claimed = ctx.Value("i", 1)  # order[0] is this process's
+
+    def claim(stop=False):
+        with claimed.get_lock():
+            index = claimed.value
+            claimed.value = len(order) if stop else index + 1
+        return order[index] if index < len(order) else None
+
+    def work(writer, parent, inherited):
+        for reader in inherited:
+            reader.close()
+        results, error = {}, None
+        try:
+            while os.getppid() == parent and (count := claim()) is not None:
+                results[count] = train_count(count)
+        except Exception as exc:  # noqa: BLE001  (re-raised by the parent)
+            import traceback
+
+            claim(stop=True)
+            error = (exc, traceback.format_exc())
+        if os.getppid() == parent:
+            writer.send((results, error))
+
+    procs, readers = [], []
+    try:
+        for _ in range(workers - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=work, daemon=True,
+                               args=(writer, os.getpid(), list(readers)))
+            proc.start()
+            writer.close()
+            procs.append(proc)
+            readers.append(reader)
+        results = {}
+        count = order[0]
+        while count is not None:
+            results[count] = train_count(count)
+            count = claim()
+        for proc, reader in zip(procs, readers):
+            try:
+                part, error = reader.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a training worker exited with code "
+                                   f"{proc.exitcode} before returning its "
+                                   "counts") from None
+            if error is not None:
+                exc, remote = error
+                raise exc from RuntimeError(
+                    "raised in a forked training worker:\n" + remote)
+            results.update(part)
+        return results
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for reader in readers:
+            reader.close()
+
+
 def train(scenario_family, s_max: int, hyperparams: Hyperparams = None,
           rng_seed: int = 0, counts=None) -> QTable:
     """Train per-count FO assignment tables.
@@ -369,32 +479,52 @@ def train(scenario_family, s_max: int, hyperparams: Hyperparams = None,
     scenario_family(num_links, rng) must return a ScenarioEnergies drop for a
     network of num_links links (victim plus aggressors). Each count S gets its
     own drop ensemble and its own seeded stream, so tables for distinct S are
-    reproducible independently of training order. ``counts`` restricts
-    training to a subset of [1, s_max] (sharded budgets); the default trains
-    every count.
+    reproducible independently of training order. ``counts``, a non-empty
+    list of integers in [1, s_max], restricts training to those counts
+    (sharded budgets); the default trains every count.
+
+    Counts train on min(number of counts, usable CPUs) workers, the usable
+    CPUs being this process's affinity set: this process and forked
+    children (the ``fork`` start method only), each taking the next count,
+    largest first. With one worker, no ``fork`` start method, or in a
+    daemonic process (which may not have children), the counts train here
+    one after another. The result does not depend on the number
+    of workers: every count trains on the same drops and stream either way,
+    and the table holds the counts in ascending order. ``scenario_family``
+    may therefore run in a forked child, where its side effects are not seen
+    by the caller. Python 3.12 and later warn when a process that already
+    runs threads forks.
 
     Once a count is trained, its table keeps only the rows ``fo_assignment``
     reads (``QTable._decode_rows``), the rows ``save`` writes, so memory
-    peaks at one count's working set rather than the sum over all counts.
+    peaks at one count's working set per worker rather than the sum over
+    all counts.
     """
     if s_max < 1:
         raise ParameterError("s_max must be at least 1")
     if rng_seed < 0:
         raise ParameterError(f"rng_seed must be non-negative, got {rng_seed!r}")
+    if counts is None:
+        chosen = list(range(1, s_max + 1))
+    else:
+        items = (list(counts) if np.iterable(counts) and not isinstance(counts, str)
+                 else [])
+        if not items or not all(is_integer(c) for c in items):
+            raise ParameterError(
+                f"counts must be a non-empty list of integers, got {counts!r}")
+        chosen = sorted({int(c) for c in items})
+        if chosen[0] < 1 or chosen[-1] > s_max:
+            raise ParameterError("counts must lie in [1, s_max]")
     hp = hyperparams if hyperparams is not None else Hyperparams()
+    trained = _train_counts(
+        partial(_train_count, scenario_family, hp, rng_seed), chosen)
     table = QTable(fo_quantum=0, hyperparams=hp, seed=int(rng_seed))
-    chosen = sorted(set(counts)) if counts is not None else list(range(1, s_max + 1))
-    if any(c < 1 or c > s_max for c in chosen):
-        raise ParameterError("counts must lie in [1, s_max]")
     for count in chosen:
-        drops = [scenario_family(count + 1, np.random.default_rng([rng_seed, count, d]))
-                 for d in range(hp.ensemble)]
-        evaluator = EnsembleEvaluator(drops)
+        rows, converged, fo_quantum = trained[count]
         if table.fo_quantum == 0:
-            table.fo_quantum = evaluator.fo_quantum
-        elif table.fo_quantum != evaluator.fo_quantum:
+            table.fo_quantum = fo_quantum
+        elif table.fo_quantum != fo_quantum:
             raise ConfigError("scenario family changed the FO quantum")
-        walk_rng = np.random.default_rng([rng_seed, count, hp.ensemble])
-        table.converged[count] = _train_one_count(table, count, evaluator, walk_rng)
-        table.per_count[count] = table._decode_rows(count)
+        table.converged[count] = converged
+        table.per_count[count] = rows
     return table

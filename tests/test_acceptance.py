@@ -307,6 +307,9 @@ def test_criterion_4_policy_matches_exhaustive_optimum():
     hp = Hyperparams(**TRAIN)
     wins = 0
     for seed in range(100):
+        # Each cycle serves one count and wraps once per ``train`` call, so
+        # it yields the same drops whether its count trains here or in a
+        # forked worker, whose advances this process never sees.
         cycles = {count: itertools.cycle(ensembles[count])
                   for count in counts}
 

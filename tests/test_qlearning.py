@@ -2,7 +2,13 @@
 
 import itertools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from potsim import (
     train,
 )
 from potsim.experiments import ExperimentConfig, scenario_family
+from potsim import qlearning
 from potsim.qlearning import _train_one_count, q_update, reward
 
 Q = 8
@@ -345,15 +352,23 @@ def full_table(family, s_max, hp, rng_seed):
     return table
 
 
-@pytest.fixture(scope="module")
-def trained_and_full():
-    """(``train``'s table, the full table) for counts 1..6 on real drops."""
+def real_family():
+    """AWGN capacity-vs-aggressors drops on the Gaussian pulse."""
     config = ExperimentConfig(experiment="capacity_vs_aggressors")
     pulse = potsim.filter_factory("gaussian", 0.2)
     cross = CrossAmbiguity(pulse, pulse, config.lattice, fo_quantum=Q)
-    family = scenario_family(config, cross)
-    hp = Hyperparams(episodes=30, ensemble=2, beta=1.0, epsilon_end=0.3)
-    return train(family, 6, hp, rng_seed=4), full_table(family, 6, hp, 4)
+    return scenario_family(config, cross)
+
+
+#: The budget of the counts 1..6 tables on real drops.
+REAL_HP = Hyperparams(episodes=30, ensemble=2, beta=1.0, epsilon_end=0.3)
+
+
+@pytest.fixture(scope="module")
+def trained_and_full():
+    """(``train``'s table, the full table) for counts 1..6 on real drops."""
+    family = real_family()
+    return train(family, 6, REAL_HP, rng_seed=4), full_table(family, 6, REAL_HP, 4)
 
 
 def test_training_keeps_only_the_decode_rows_of_the_full_table(trained_and_full):
@@ -596,6 +611,9 @@ def test_trained_assignments_match_exhaustive_search_on_a_fixed_geometry():
     hp = Hyperparams(ensemble=4, beta=1.0, epsilon_end=0.3, gamma=0.95)
     prebuilt = {n: [base(n, np.random.default_rng([0, n, d]))
                     for d in range(hp.ensemble)] for n in (2, 3, 4)}
+    # Each counter serves one count and wraps once per ``train`` call, so it
+    # picks the same drops whether a count trains here or in a forked
+    # worker, whose advances this process never sees.
     counters = {n: itertools.count() for n in prebuilt}
 
     def fixed_family(num_links, rng):
@@ -724,3 +742,210 @@ def test_deferred_updates_stop_at_the_step_by_step_episode(count):
     deferred, step_by_step = train_both_ways(count, hp)
     assert step_by_step.converged == {count: True}
     assert_bit_identical(deferred, step_by_step)
+
+
+# ---------------------------------------------------------------------------
+# training workers
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the usable CPUs ``train`` sees; no child outlives the test."""
+    yield lambda cpus: monkeypatch.setattr(qlearning, "_usable_cpus", lambda: cpus)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("counts", [[], (), [True], [1, False], [2.5], [1, "2"],
+                                    3, "12"])
+def test_training_rejects_counts_that_are_not_a_non_empty_integer_list(
+        counts, workers):
+    workers(3)
+
+    def family(num_links, rng):
+        raise AssertionError("no drop may be drawn")
+
+    with pytest.raises(ParameterError, match="counts"):
+        train(family, 3, Hyperparams(ensemble=1, episodes=1), counts=counts)
+
+
+def test_numpy_integer_counts_train_python_int_keys(workers, tmp_path):
+    # A numpy key once reached the artifact header, which JSON cannot hold.
+    workers(3)
+    table = train(synthetic_family(), 3, Hyperparams(ensemble=1, episodes=2),
+                  counts=[np.int64(3), np.int32(1), np.int64(3)])
+    assert [type(count) for count in table.per_count] == [int, int]
+    assert list(table.per_count) == list(table.converged) == [1, 3]
+    table.save(tmp_path / "table.npz")
+    assert list(QTable.load(tmp_path / "table.npz").per_count) == [1, 3]
+
+
+def test_the_worker_count_changes_no_output(workers, tmp_path):
+    family = real_family()
+    tables = []
+    for cpus in (1, 3):
+        workers(cpus)
+        tables.append(train(family, 6, REAL_HP, rng_seed=4))
+        tables[-1].save(tmp_path / f"{cpus}.npz")
+    serial, forked = tables
+    assert_bit_identical(forked, serial)
+    assert list(forked.per_count) == list(forked.converged) == list(range(1, 7))
+    assert list(serial.converged) == list(forked.converged)
+    for count in range(1, 7):
+        assert forked.fo_assignment(count) == serial.fo_assignment(count)
+    assert (tmp_path / "3.npz").read_bytes() == (tmp_path / "1.npz").read_bytes()
+
+
+def test_more_workers_than_cores_claim_every_count_once(workers, tmp_path):
+    # One drop per count: a lost update of the shared queue would show as a
+    # count whose drop was drawn twice, or never.
+    workers(min(12, (os.cpu_count() or 1) + 2))
+    base = synthetic_family()
+
+    def family(num_links, rng):
+        (tmp_path / f"{num_links - 1}-{os.getpid()}").touch()
+        return base(num_links, rng)
+
+    hp = Hyperparams(ensemble=1, episodes=3)
+    forked = train(family, 12, hp, rng_seed=5)
+    drawn = sorted(int(path.name.split("-")[0]) for path in tmp_path.iterdir())
+    assert drawn == list(range(1, 13))
+    workers(1)
+    assert_bit_identical(forked, train(base, 12, hp, rng_seed=5))
+
+
+def test_an_error_in_a_forked_worker_is_raised_in_the_caller(workers):
+    workers(3)
+    base, caller = synthetic_family(), os.getpid()
+
+    def family(num_links, rng):
+        if os.getpid() != caller:
+            raise RuntimeError("no drop for this count")
+        # The caller keeps the largest count while the children claim the
+        # other two.
+        time.sleep(0.5)
+        return base(num_links, rng)
+
+    with pytest.raises(RuntimeError) as raised:
+        train(family, 3, Hyperparams(ensemble=1, episodes=1))
+    assert type(raised.value) is RuntimeError
+    assert str(raised.value) == "no drop for this count"
+    assert "forked training worker" in str(raised.value.__cause__)
+
+
+def test_training_inside_a_forked_worker_runs_serially(workers):
+    # A worker is daemonic, and a daemonic process may not have children.
+    workers(3)
+    base, caller = synthetic_family(), os.getpid()
+    hp = Hyperparams(ensemble=1, episodes=2)
+
+    def family(num_links, rng):
+        if os.getpid() == caller:
+            time.sleep(0.5)
+        else:
+            train(synthetic_family(), 2, hp)
+        return base(num_links, rng)
+
+    forked = train(family, 3, hp)
+    workers(1)
+    assert_bit_identical(forked, train(synthetic_family(), 3, hp))
+
+
+def test_an_error_in_the_caller_terminates_the_workers(workers, tmp_path):
+    workers(3)
+    started, caller = tmp_path / "started", os.getpid()
+
+    def family(num_links, rng):
+        if os.getpid() != caller:
+            started.touch()
+            time.sleep(60)
+        while not started.exists():
+            time.sleep(0.01)
+        raise RuntimeError("no drop for the largest count")
+
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="no drop for the largest count"):
+        train(family, 3, Hyperparams(ensemble=1, episodes=1))
+    # Joining the workers without terminating them would take a minute.
+    assert time.monotonic() - began < 30
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_family_that_changes_the_fo_quantum_is_a_config_error(workers, cpus):
+    workers(cpus)
+    base = synthetic_family()
+
+    def family(num_links, rng):
+        drop = base(num_links, rng)
+        if num_links == 3:
+            drop.fo_quantum = Q // 2
+        return drop
+
+    with pytest.raises(ConfigError, match="scenario family changed the FO quantum"):
+        train(family, 3, Hyperparams(ensemble=1, episodes=2))
+
+
+PARENT_DIES = '''
+import os, sys, time
+from pathlib import Path
+
+from potsim import qlearning
+from potsim.experiments import ExperimentConfig, scenario_family
+from potsim.waveform import CrossAmbiguity, filter_factory
+
+log = Path(sys.argv[1])
+config = ExperimentConfig(experiment="capacity_vs_aggressors")
+pulse = filter_factory("gaussian", 0.2)
+base = scenario_family(config, CrossAmbiguity(pulse, pulse, config.lattice,
+                                              fo_quantum=config.fo_quantum))
+parent = os.getpid()
+
+
+def family(num_links, rng):
+    if os.getpid() == parent:
+        # The largest count: die, with no clean-up, once a child has begun
+        # its first count.
+        while not log.exists():
+            time.sleep(0.01)
+        os._exit(0)
+    with log.open("a") as out:
+        out.write(f"{os.getpid()} {num_links - 1}\\n")
+    while os.getppid() == parent:
+        time.sleep(0.01)
+    return base(num_links, rng)
+
+
+qlearning._usable_cpus = lambda: 2
+qlearning.train(family, 3, qlearning.Hyperparams(ensemble=1, episodes=1))
+'''
+
+
+def process_ended(pid: int) -> bool:
+    """True once ``pid`` has exited, reaped or not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_worker_whose_parent_has_gone_ends_after_its_current_count(tmp_path):
+    log = tmp_path / "child.log"
+    script = tmp_path / "parent_dies.py"
+    script.write_text(PARENT_DIES)
+    path = [str(Path(__file__).resolve().parent.parent / "src")]
+    path += [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run([sys.executable, str(script), str(log)],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    deadline = time.monotonic() + 60
+    while not log.read_text().endswith("\n"):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    pid = int(log.read_text().split()[0])
+    while not process_ended(pid):
+        assert time.monotonic() < deadline, "the orphaned worker still runs"
+        time.sleep(0.05)
+    # It trained the count it had begun, then claimed no other.
+    assert log.read_text() == f"{pid} 2\n"
