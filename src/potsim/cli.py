@@ -97,8 +97,10 @@ def _cmd_train(args) -> int:
         config = replace(config, seed=args.seed)
     if args.s_max < 1:
         raise ConfigError("--s-max must be at least 1")
-    table = train_policy(config, args.s_max)
     out = artifact_path(args.out)
+    if out.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
+    table = train_policy(config, args.s_max)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
     not_converged = sorted(c for c in table.per_count

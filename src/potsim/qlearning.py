@@ -20,7 +20,7 @@ from .errors import (ConfigError, ParameterError, PolicyUnavailableError,
 from .interference import EnsembleEvaluator
 
 ARTIFACT_FORMAT = "potsim-qtable"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 def artifact_path(path) -> Path:
@@ -200,35 +200,34 @@ class QTable:
                 for state in sorted(s for s in self._rollout(count)[0] if s in sub)}
 
     def save(self, path) -> None:
-        """Write, per count, only the rows ``fo_assignment`` reads
-        (``_decode_rows``). The loaded table therefore decodes every count to
-        the same prescription.
-        """
-        header = {
-            "format": ARTIFACT_FORMAT,
-            "version": ARTIFACT_VERSION,
-            "fo_quantum": self.fo_quantum,
-            "seed": self.seed,
-            "hyperparams": asdict(self.hyperparams),
-            "converged": {str(k): bool(v) for k, v in self.converged.items()},
-            "counts": sorted(self.per_count),
-        }
-        arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-        for count in self.per_count:
-            rows = self._decode_rows(count)
-            arrays[f"states_{count}"] = np.array(list(rows), dtype=np.int64).reshape(
-                len(rows), count)
-            arrays[f"values_{count}"] = np.array(
-                list(rows.values()), dtype=float).reshape(
-                    len(rows), self.num_actions(count))
-        np.savez_compressed(path, **arrays)
+        """Write only the rows ``fo_assignment`` reads (``_decode_rows``), so
+        a loaded table decodes the same: ``header`` (JSON; ``rows`` gives each
+        count's row count), then every row's state and values, in count then
+        state order, flattened into ``states`` and ``values``."""
+        counts = sorted(self.per_count)
+        decoded = [self._decode_rows(count) for count in counts]
+        header = {"format": ARTIFACT_FORMAT, "version": ARTIFACT_VERSION,
+                  "fo_quantum": self.fo_quantum, "seed": self.seed,
+                  "hyperparams": asdict(self.hyperparams),
+                  "converged": {str(k): bool(v) for k, v in self.converged.items()},
+                  "counts": counts, "rows": [len(rows) for rows in decoded]}
+        states = [q for rows in decoded for state in rows for q in state]
+        values = [row for rows in decoded for row in rows.values()]
+        np.savez_compressed(
+            path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+            states=np.array(states, dtype=np.int64),
+            values=np.concatenate([np.zeros(0), *values], dtype=float))
 
     @classmethod
     def load(cls, path) -> "QTable":
-        """Read an artifact written by ``save``; ConfigError if malformed."""
+        """Read an artifact written by ``save``; ConfigError if unreadable."""
         # Opened here because np.load leaves its own handle open when it
         # meets a broken zip.
-        with open(path, "rb") as handle:
+        try:
+            handle = open(path, "rb")
+        except OSError as exc:
+            raise ConfigError(f"cannot open Q-table {path}: {exc.strerror}") from exc
+        with handle:
             try:
                 data = np.load(handle, allow_pickle=False)
             except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -240,64 +239,70 @@ class QTable:
 
     @classmethod
     def _from_npz(cls, data) -> "QTable":
-        if "header" not in data.files:
-            raise ConfigError("not a Q-table artifact")
         try:
             header = json.loads(bytes(data["header"]).decode())
-        except ValueError as exc:
-            raise ConfigError("Q-table artifact header is not JSON") from exc
+        except (KeyError, ValueError) as exc:
+            raise ConfigError("Q-table artifact header is missing or not JSON") from exc
         if not isinstance(header, dict) or header.get("format") != ARTIFACT_FORMAT:
             raise ConfigError("not a Q-table artifact")
-        if header.get("version") != ARTIFACT_VERSION:
-            raise ConfigError("unsupported Q-table artifact version")
+        if (version := header.get("version")) != ARTIFACT_VERSION:
+            raise ConfigError(f"Q-table artifact version {version!r} is not "
+                              f"{ARTIFACT_VERSION}; retrain the policy with potsim train")
         _check_header(header)
         try:
             hyperparams = Hyperparams(**header["hyperparams"])
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"Q-table artifact hyperparams are invalid: {exc}") from exc
-        table = cls(fo_quantum=header["fo_quantum"], hyperparams=hyperparams,
-                    seed=header["seed"])
-        for count in header["counts"]:
-            table.per_count[count] = _read_count(data, count)
-            table.converged[count] = bool(
-                header["converged"].get(str(count), False))
+        missing = [name for name in ("states", "values") if name not in data.files]
+        if missing:
+            raise ConfigError(f"Q-table artifact lacks {', '.join(missing)}")
+        states, values = data["states"], data["values"]
+        if not np.issubdtype(states.dtype, np.integer) or values.dtype != np.float64:
+            raise ConfigError("Q-table artifact states must be integers, values float64")
+        counts, rows, quantum = header["counts"], header["rows"], header["fo_quantum"]
+        for name, array, width in (("states", states, lambda c: c),
+                                   ("values", values, lambda c: 2 * c + 1)):
+            size = sum(n * width(c) for c, n in zip(counts, rows))
+            if array.shape != (size,):
+                raise ConfigError(f"Q-table artifact {name} must have shape ({size},)")
+        if states.size and not 0 <= states.min() <= states.max() < quantum:
+            raise ConfigError(f"Q-table artifact states must lie in [0, {quantum})")
+        table = cls(fo_quantum=quantum, hyperparams=hyperparams, seed=header["seed"])
+        # tolist() yields Python ints, so keys hash and compare like the
+        # tuples training builds. A count's value block leads the zip, so it
+        # takes only its own states from ``keys``; each row is a view.
+        keys, at = iter(states.tolist()), 0
+        for count, n in zip(counts, rows):
+            block = values[at:at + n * (2 * count + 1)].reshape(n, 2 * count + 1)
+            sub = table.per_count[count] = {
+                state: row for row, state in zip(block, zip(*[keys] * count))}
+            if len(sub) != n:
+                raise ConfigError(f"Q-table artifact states repeat within count {count}")
+            table.converged[count] = bool(header["converged"].get(str(count), False))
+            at += block.size
         return table
 
 
 def _check_header(header: dict) -> None:
     """ConfigError unless the header fields ``save`` writes are well formed."""
     missing = [name for name in ("fo_quantum", "seed", "hyperparams",
-                                 "converged", "counts") if name not in header]
+                                 "converged", "counts", "rows") if name not in header]
     if missing:
         raise ConfigError(f"Q-table artifact header lacks {', '.join(missing)}")
     if not is_integer(header["fo_quantum"]) or header["fo_quantum"] < 1:
         raise ConfigError("Q-table artifact fo_quantum must be a positive integer")
     if not is_integer(header["seed"]):
         raise ConfigError("Q-table artifact seed must be an integer")
-    counts = header["counts"]
-    if not isinstance(counts, list) or not all(
-            is_integer(count) and count >= 1 for count in counts):
-        raise ConfigError("Q-table artifact counts must be positive integers")
+    counts, rows = header["counts"], header["rows"]
+    if not (isinstance(counts, list) and all(is_integer(c) and c >= 1 for c in counts)
+            and counts == sorted(set(counts))):
+        raise ConfigError("Q-table artifact counts must be ascending positive integers")
+    if not isinstance(rows, list) or len(rows) != len(counts) or not all(
+            is_integer(n) and n >= 0 for n in rows):
+        raise ConfigError("Q-table artifact rows need one non-negative integer per count")
     for name in ("hyperparams", "converged"):
         if not isinstance(header[name], dict):
             raise ConfigError(f"Q-table artifact {name} must be a JSON object")
-
-
-def _read_count(data, count: int) -> dict:
-    """One count's {state tuple: value vector} from an open artifact."""
-    names = (f"states_{count}", f"values_{count}")
-    missing = [name for name in names if name not in data.files]
-    if missing:
-        raise ConfigError(f"Q-table artifact lacks {', '.join(missing)}")
-    states, values = data[names[0]], data[names[1]]
-    if states.ndim != 2 or states.shape[1] != count:
-        raise ConfigError(f"{names[0]} must have shape (n, {count})")
-    if values.shape != (len(states), 2 * count + 1):
-        raise ConfigError(
-            f"{names[1]} must have shape ({len(states)}, {2 * count + 1})")
-    # tolist() yields Python ints, so keys hash and compare like the
-    # tuples training builds; each value is a row view of ``values``.
-    return dict(zip(map(tuple, states.tolist()), values))
 
 
 def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
@@ -483,22 +488,17 @@ def train(scenario_family, s_max: int, hyperparams: Hyperparams = None,
     list of integers in [1, s_max], restricts training to those counts
     (sharded budgets); the default trains every count.
 
-    Counts train on min(number of counts, usable CPUs) workers, the usable
-    CPUs being this process's affinity set: this process and forked
-    children (the ``fork`` start method only), each taking the next count,
-    largest first. With one worker, no ``fork`` start method, or in a
-    daemonic process (which may not have children), the counts train here
-    one after another. The result does not depend on the number
-    of workers: every count trains on the same drops and stream either way,
-    and the table holds the counts in ascending order. ``scenario_family``
-    may therefore run in a forked child, where its side effects are not seen
-    by the caller. Python 3.12 and later warn when a process that already
-    runs threads forks.
+    Counts train on min(number of counts, usable CPUs) workers, forked
+    where possible (``_train_counts``). The result does not depend on the
+    number of workers: every count trains on the same drops and stream
+    either way, and the table holds the counts in ascending order.
+    ``scenario_family`` may run in a forked child, where its side effects
+    are not seen by the caller. Python 3.12 and later warn when a process
+    that already runs threads forks.
 
-    Once a count is trained, its table keeps only the rows ``fo_assignment``
-    reads (``QTable._decode_rows``), the rows ``save`` writes, so memory
-    peaks at one count's working set per worker rather than the sum over
-    all counts.
+    Once a count is trained, its table keeps only the rows ``save`` writes
+    (``QTable._decode_rows``), so memory peaks at one count's working set
+    per worker rather than the sum over all counts.
     """
     if s_max < 1:
         raise ParameterError("s_max must be at least 1")

@@ -579,6 +579,28 @@ def test_cli_run_rejects_an_artifact_header_without_counts(tmp_path, capsys):
     assert "lacks counts" in capsys.readouterr().err
 
 
+def test_cli_run_with_a_directory_for_its_policy_exits_2(tmp_path, capsys):
+    # Both once exited 1 with an IsADirectoryError traceback.
+    artifact = tmp_path / "policy.npz"
+    artifact.mkdir()
+    config = quick_config(train_if_missing=False, qtable_path=str(artifact))
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"cannot open Q-table {artifact}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["policy.npz", "policy"])
+def test_cli_train_to_a_directory_exits_2_before_training(tmp_path, capsys,
+                                                           monkeypatch, out):
+    (tmp_path / "policy.npz").mkdir()
+    monkeypatch.setattr(potsim.cli, "train_policy", lambda *args: pytest.fail(
+        "trained although --out is a directory"))
+    path = write_config(tmp_path, quick_config())
+    assert main(["train", "--s-max", "2", "--out", str(tmp_path / out),
+                 "--config", str(path)]) == 2
+    assert f"--out {tmp_path / 'policy.npz'} is a directory" in capsys.readouterr().err
+
+
 def test_cli_ambiguity_export(tmp_path):
     out = tmp_path / "surface.csv"
     code = main(["ambiguity", "--filter", "gaussian", "--param", "1.0",

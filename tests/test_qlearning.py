@@ -299,41 +299,32 @@ def test_artifact_stores_the_trained_rows_of_a_walk_that_stops(tmp_path):
     assert loaded.fo_assignment(1) == (1,)
 
 
-def test_artifact_with_a_fallback_events_header_key_still_loads(tmp_path):
-    """Artifacts written before the decode stopped at rowless states carry a
-    ``fallback_events`` count in their header; it is ignored."""
+def v2_arrays(per_count, header):
+    """Artifact members holding every row of ``per_count``, in state order,
+    under a copy of ``header`` whose ``rows`` list matches them."""
+    counts = sorted(per_count)
+    states = [sorted(per_count[count]) for count in counts]
+    header = {**header, "counts": counts, "rows": [len(rows) for rows in states]}
+    return {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+            "states": np.array([q for rows in states for state in rows for q in state],
+                               dtype=np.int64),
+            "values": np.concatenate([per_count[count][state]
+                                      for count, rows in zip(counts, states)
+                                      for state in rows])}
+
+
+def test_artifact_with_extra_rows_loads_and_decodes_the_same(tmp_path):
+    """An artifact that stores every row, not only the decode rows, loads
+    them all, and decodes the same."""
     table = walk_table()
     path = tmp_path / "table.npz"
     table.save(path)
     with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    loaded = load_tampered(tmp_path,
-                           with_header(arrays, edited("fallback_events", 7)))
-    assert not hasattr(loaded, "fallback_events")
-    for count, sub in loaded.per_count.items():
-        assert set(sub) == decode_reads(table, count)
-        for state, values in sub.items():
-            assert np.array_equal(values, table.per_count[count][state])
-        assert loaded.fo_assignment(count) == table.fo_assignment(count)
-
-
-def test_full_artifact_in_the_earlier_layout_still_loads(tmp_path):
-    """Artifacts that store every row (the layout before the decode rows)
-    keep loading, and decode the same."""
-    table = walk_table()
-    path = tmp_path / "table.npz"
-    table.save(path)
-    with np.load(path) as data:
-        arrays = {"header": data["header"]}
+        header = json.loads(bytes(data["header"]).decode())
+    loaded = load_tampered(tmp_path, v2_arrays(table.per_count, header))
     for count, sub in table.per_count.items():
-        states = sorted(sub)
-        arrays[f"states_{count}"] = np.array(states, dtype=np.int64)
-        arrays[f"values_{count}"] = np.stack([sub[s] for s in states])
-    full = tmp_path / "full.npz"
-    np.savez_compressed(full, **arrays)
-    loaded = QTable.load(full)
-    for count, sub in table.per_count.items():
-        assert set(loaded.per_count[count]) == set(sub)
+        assert len(sub) > len(decode_reads(table, count))
+        assert list(loaded.per_count[count]) == sorted(sub)
         for state, values in sub.items():
             assert np.array_equal(loaded.per_count[count][state], values)
         assert loaded.fo_assignment(count) == table.fo_assignment(count)
@@ -404,10 +395,14 @@ def test_trained_table_round_trips_every_prescription(trained_and_full, tmp_path
 
 
 def saved_arrays(tmp_path):
-    """The arrays of a saved two-count artifact, by name."""
+    """The arrays of a saved two-count artifact, by name: count 1 steps from
+    (0,) up onto (1,), count 2 from (0, 0) onto (0, 1), and each absorbs
+    there, so each keeps two rows; (5,) is off the walk."""
     table = QTable(fo_quantum=Q)
-    table.per_count[1] = {(0,): np.zeros(3), (3,): np.ones(3)}
-    table.per_count[2] = {(1, 5): np.ones(5)}
+    table.per_count[1] = {(0,): np.array([0.0, 1.0, 0.0]), (1,): np.zeros(3),
+                          (5,): np.ones(3)}
+    table.per_count[2] = {(0, 0): np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
+                          (0, 1): np.full(5, 2.0)}
     path = tmp_path / "table.npz"
     table.save(path)
     with np.load(path) as data:
@@ -420,32 +415,118 @@ def load_tampered(tmp_path, arrays):
     return QTable.load(tampered)
 
 
-@pytest.mark.parametrize("name", ["states_2", "values_1"])
-def test_artifact_missing_a_count_array_is_a_config_error(tmp_path, name):
+@pytest.mark.parametrize("name", ["header", "states", "values"])
+def test_artifact_missing_a_member_is_a_config_error(tmp_path, name):
     arrays = saved_arrays(tmp_path)
     del arrays[name]
     with pytest.raises(ConfigError, match=name):
         load_tampered(tmp_path, arrays)
 
 
-def test_artifact_states_of_the_wrong_width_are_a_config_error(tmp_path):
+def test_artifact_stores_three_members_whatever_the_number_of_counts(tmp_path):
     arrays = saved_arrays(tmp_path)
-    arrays["states_2"] = np.array([[1, 5, 0]])
-    with pytest.raises(ConfigError, match="states_2"):
-        load_tampered(tmp_path, arrays)
-    arrays["states_2"] = np.array([1, 5])
-    with pytest.raises(ConfigError, match="states_2"):
+    assert sorted(arrays) == ["header", "states", "values"]
+    header = json.loads(bytes(arrays["header"]).decode())
+    assert header["version"] == 2
+    assert (header["counts"], header["rows"]) == ([1, 2], [2, 2])
+    assert arrays["states"].dtype == np.int64
+    assert arrays["states"].tolist() == [0, 1, 0, 0, 0, 1]
+    assert arrays["values"].dtype == np.float64
+    assert arrays["values"].tolist() == ([0.0, 1.0, 0.0] + [0.0] * 3
+                                         + [0.0, 0.0, 0.0, 1.0, 0.0] + [2.0] * 5)
+
+
+@pytest.mark.parametrize("rows", [None, 2, [1], [1, 1, 0], [1, -1], [1, 1.0],
+                                  [True, 1], ["1", 1]],
+                         ids=["missing", "scalar", "short", "long", "negative",
+                              "float", "bool", "string"])
+def test_artifact_rows_must_be_non_negative_integers_aligned_with_counts(
+        tmp_path, rows):
+    edit = without("rows") if rows is None else edited("rows", rows)
+    with pytest.raises(ConfigError, match="rows"):
+        load_tampered(tmp_path, with_header(saved_arrays(tmp_path), edit))
+
+
+def test_artifact_states_of_the_wrong_width_are_a_config_error(tmp_path):
+    # rows [2, 2] over counts [1, 2] hold 2 * 1 + 2 * 2 = 6 states.
+    arrays = saved_arrays(tmp_path)
+    for states in ([0, 1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0], [[0, 1, 0], [0, 0, 1]]):
+        arrays["states"] = np.array(states)
+        with pytest.raises(ConfigError, match=r"states must have shape \(6,\)"):
+            load_tampered(tmp_path, arrays)
+    arrays = with_header(saved_arrays(tmp_path), edited("rows", [1, 2]))
+    with pytest.raises(ConfigError, match=r"states must have shape \(5,\)"):
         load_tampered(tmp_path, arrays)
 
 
 def test_artifact_values_of_the_wrong_shape_are_a_config_error(tmp_path):
+    # rows [2, 2] over counts [1, 2] hold 2 * 3 + 2 * 5 = 16 values.
     arrays = saved_arrays(tmp_path)
-    arrays["values_1"] = np.zeros((2, 5))
-    with pytest.raises(ConfigError, match="values_1"):
+    for values in (np.zeros(17), np.zeros(15), np.zeros((2, 8))):
+        arrays["values"] = values
+        with pytest.raises(ConfigError, match=r"values must have shape \(16,\)"):
+            load_tampered(tmp_path, arrays)
+    arrays["values"] = np.zeros(16, dtype=np.float32)
+    with pytest.raises(ConfigError, match="values"):
         load_tampered(tmp_path, arrays)
-    arrays["values_1"] = np.zeros((3, 3))
-    with pytest.raises(ConfigError, match="values_1"):
+
+
+@pytest.mark.parametrize("dtype", [float, bool, np.complex128])
+def test_artifact_states_that_are_not_integers_are_a_config_error(tmp_path, dtype):
+    arrays = saved_arrays(tmp_path)
+    arrays["states"] = arrays["states"].astype(dtype)
+    with pytest.raises(ConfigError, match="states must be integers"):
         load_tampered(tmp_path, arrays)
+
+
+@pytest.mark.parametrize("states", [[0, 1, 0, 0, 0, -1], [0, 1, 0, 0, 0, Q],
+                                    [2 ** 40, 1, 0, 0, 0, 1]])
+def test_artifact_states_outside_the_fo_grid_are_a_config_error(tmp_path, states):
+    arrays = saved_arrays(tmp_path)
+    arrays["states"] = np.array(states, dtype=np.int64)
+    with pytest.raises(ConfigError, match=rf"states must lie in \[0, {Q}\)"):
+        load_tampered(tmp_path, arrays)
+
+
+def test_artifact_repeating_a_state_within_a_count_is_a_config_error(tmp_path):
+    arrays = saved_arrays(tmp_path)
+    # Count 1's two states may equal count 2's first coordinates; only a
+    # repeat within one count is an error.
+    arrays["states"] = np.array([0, 1, 1, 0, 0, 1])
+    assert list(load_tampered(tmp_path, arrays).per_count[2]) == [(1, 0), (0, 1)]
+    arrays["states"] = np.array([0, 1, 0, 1, 0, 1])
+    with pytest.raises(ConfigError, match="states repeat within count 2"):
+        load_tampered(tmp_path, arrays)
+    arrays["states"] = np.array([1, 1, 0, 0, 0, 1])
+    with pytest.raises(ConfigError, match="states repeat within count 1"):
+        load_tampered(tmp_path, arrays)
+
+
+def test_an_artifact_in_the_earlier_layout_is_a_config_error(tmp_path):
+    """Version 1 stored ``states_<count>`` and ``values_<count>`` per count;
+    it is rejected by its version, naming both versions and the retrain."""
+    table = walk_table()
+    path = tmp_path / "table.npz"
+    table.save(path)
+    with np.load(path) as data:
+        header = {**json.loads(bytes(data["header"]).decode()), "version": 1}
+    del header["rows"]
+    arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
+    for count, rows in table.per_count.items():
+        arrays[f"states_{count}"] = np.array(sorted(rows), dtype=np.int64)
+        arrays[f"values_{count}"] = np.stack([rows[s] for s in sorted(rows)])
+    with pytest.raises(ConfigError,
+                       match=r"version 1 is not 2; retrain the policy with potsim train"):
+        load_tampered(tmp_path, arrays)
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_an_artifact_path_that_cannot_be_opened_is_a_config_error(tmp_path, kind):
+    path = tmp_path / "policy.npz"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ConfigError, match="policy.npz"):
+        QTable.load(path)
 
 
 @pytest.mark.parametrize("kind", ["text", "npy", "empty", "zip", "no_header"])
@@ -491,12 +572,14 @@ def edited(name, value):
     edited("hyperparams", {"beta": True}),
     edited("counts", [1, 2.5]), edited("counts", ["1", "2"]),
     edited("counts", 2), edited("counts", [True, 2]),
+    edited("counts", [2, 1]), edited("counts", [1, 1]),
     edited("fo_quantum", 8.0), edited("seed", "zero"),
     edited("converged", [True, False]),
 ], ids=["no_counts", "no_fo_quantum", "no_seed", "no_hyperparams",
         "no_converged", "list", "unknown_hyperparam", "bad_hyperparam",
         "hyperparams_list", "bool_hyperparam", "float_count", "string_counts",
-        "scalar_counts", "bool_count", "float_fo_quantum", "string_seed",
+        "scalar_counts", "bool_count", "descending_counts", "repeated_count",
+        "float_fo_quantum", "string_seed",
         "converged_list"])
 def test_malformed_artifact_header_is_a_config_error(tmp_path, edit):
     arrays = with_header(saved_arrays(tmp_path), edit)
@@ -742,6 +825,19 @@ def test_deferred_updates_stop_at_the_step_by_step_episode(count):
     deferred, step_by_step = train_both_ways(count, hp)
     assert step_by_step.converged == {count: True}
     assert_bit_identical(deferred, step_by_step)
+
+
+def test_tables_trained_on_random_energies_round_trip_through_an_artifact(tmp_path):
+    hp = Hyperparams(ensemble=2, episodes=20, beta=0.5, epsilon_end=0.3,
+                     gamma=0.95)
+    table = train(random_energies, 12, hp, rng_seed=5)
+    path = tmp_path / "table.npz"
+    table.save(path)
+    loaded = QTable.load(path)
+    assert (loaded.fo_quantum, loaded.seed, loaded.hyperparams) == (Q, 5, hp)
+    assert_bit_identical(loaded, table)
+    for count in range(1, 13):
+        assert loaded.fo_assignment(count) == table.fo_assignment(count)
 
 
 # ---------------------------------------------------------------------------
