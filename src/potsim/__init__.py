@@ -13,8 +13,7 @@ from .errors import (PotsimError, ParameterError, ConfigError,
 from .waveform import (GAUSSIAN, RRC, IOTA, FILTER_FAMILIES, LatticeConfig,
                        PrototypeFilter, make_gaussian, make_rrc, make_iota,
                        filter_factory, ambiguity, CrossAmbiguity)
-from .channel import (ChannelModel, ChannelRealization, free_space_path_loss,
-                      realize_channel)
+from .channel import ChannelModel, free_space_path_loss, realize_channel
 from .network import (Link, NetworkScenario, sample_point_near,
                       update_aggressor_count, entry_sequence, COUNT_THRESHOLD_DB)
 from .interference import (link_metric, victim_energy_tables, ScenarioEnergies,
@@ -31,8 +30,7 @@ __all__ = [
     "GAUSSIAN", "RRC", "IOTA", "FILTER_FAMILIES", "LatticeConfig",
     "PrototypeFilter", "make_gaussian", "make_rrc", "make_iota",
     "filter_factory", "ambiguity", "CrossAmbiguity",
-    "ChannelModel", "ChannelRealization", "free_space_path_loss",
-    "realize_channel",
+    "ChannelModel", "free_space_path_loss", "realize_channel",
     "Link", "NetworkScenario", "sample_point_near", "update_aggressor_count",
     "entry_sequence", "COUNT_THRESHOLD_DB",
     "link_metric", "victim_energy_tables", "ScenarioEnergies",

@@ -68,20 +68,10 @@ class ChannelModel:
             return cls.epa(carrier_freq)
         raise ParameterError(f"unknown channel kind {kind!r}")
 
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One block-fading draw for a transmitter-receiver pair."""
-
-    path_gain: float
-    tap_delays: np.ndarray
-    tap_gains: np.ndarray
-
-    def __post_init__(self):
-        if self.path_gain < 0:
-            raise ParameterError("path gain must be non-negative")
-        if len(self.tap_delays) != len(self.tap_gains):
-            raise ConfigError("tap delay and gain counts differ")
+    @property
+    def tap_delays(self) -> np.ndarray:
+        """Read-only tap delays in seconds, shared by every draw of the model."""
+        return _tap_arrays(self.taps)[0]
 
 
 def free_space_path_loss(distance: float, carrier_freq: float) -> float:
@@ -102,8 +92,8 @@ _UNIT_GAIN.setflags(write=False)
 def _tap_arrays(taps: tuple) -> tuple:
     """Read-only (delays, powers) arrays of a tap profile, built once per profile.
 
-    Every realization of a model shares them, which is safe because no one
-    can write to them.
+    Every draw of a model and its ``tap_delays`` share them, which is safe
+    because no one can write to them.
     """
     delays = np.array([delay for delay, _ in taps])
     powers = np.array([power for _, power in taps])
@@ -113,22 +103,20 @@ def _tap_arrays(taps: tuple) -> tuple:
 
 
 def realize_channel(model: ChannelModel, distance: float,
-                    rng: np.random.Generator) -> ChannelRealization:
-    """Draw tap gains for one pair at the given distance from ``rng``.
+                    rng: np.random.Generator) -> tuple:
+    """Draw one pair's (path_gain, tap_gains) at the given distance from ``rng``.
 
     AWGN always yields the deterministic unit tap and draws nothing.
     Multipath taps are independent circularly symmetric complex Gaussians
     with variance equal to the profile power, i.e. Rayleigh magnitudes. The
-    realization does not know its pair: callers key it by (transmitter id,
-    receiver id).
+    gains line up with ``model.tap_delays``; the draw does not know its
+    pair, so callers place it by (receiver, transmitter) position.
     """
     path_gain = free_space_path_loss(distance, model.carrier_freq)
-    delays, powers = _tap_arrays(model.taps)
     if model.kind == AWGN:
-        gains = _UNIT_GAIN
-    else:
-        raw = rng.standard_normal(len(powers)) + 1j * rng.standard_normal(len(powers))
-        gains = np.sqrt(powers / 2.0) * raw
-        gains.setflags(write=False)
-    return ChannelRealization(path_gain=float(path_gain), tap_delays=delays,
-                              tap_gains=gains)
+        return path_gain, _UNIT_GAIN
+    powers = _tap_arrays(model.taps)[1]
+    raw = rng.standard_normal(len(powers)) + 1j * rng.standard_normal(len(powers))
+    gains = np.sqrt(powers / 2.0) * raw
+    gains.setflags(write=False)
+    return path_gain, gains

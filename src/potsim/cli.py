@@ -68,8 +68,17 @@ def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+def _check_out_directory(directory: Path) -> None:
+    """ConfigError unless the nearest existing one of ``directory`` and its
+    ancestors is a directory, so that outputs can be written under it."""
+    existing = next(path for path in (directory, *directory.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out: {existing} is not a directory")
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
+    _check_out_directory(Path(args.out))
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -100,11 +109,11 @@ def _cmd_train(args) -> int:
     out = artifact_path(args.out)
     if out.is_dir():
         raise ConfigError(f"--out {out} is a directory")
+    _check_out_directory(out.parent)
     table = train_policy(config, args.s_max)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
-    not_converged = sorted(c for c in table.per_count
-                           if not table.converged.get(c, False))
+    not_converged = table.not_converged_counts()
     print(f"wrote {out} (counts 1..{args.s_max})")
     if not_converged:
         print(f"warning: counts not converged: {not_converged}",

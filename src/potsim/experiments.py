@@ -25,7 +25,7 @@ from .interference import ScenarioEnergies, link_metric, victim_energy_tables
 from .network import (Link, NetworkScenario, entry_sequence, sample_point_near)
 from .qlearning import Hyperparams, QTable, artifact_path, train
 from .waveform import (CrossAmbiguity, FILTER_FAMILIES, LatticeConfig,
-                       filter_factory)
+                       PrototypeFilter, filter_factory)
 
 AMBIGUITY_SURFACE = "ambiguity_surface"
 CAPACITY_VS_SNR = "capacity_vs_snr"
@@ -163,6 +163,11 @@ class ExperimentConfig:
     def channel_model(self) -> ChannelModel:
         return ChannelModel.of_kind(self.channel, self.carrier_freq)
 
+    def pulse(self, family: str) -> PrototypeFilter:
+        """The configured pulse of one filter family."""
+        return filter_factory(family, self.filter_param, sample_rate=self.sample_rate,
+                              density=self.lattice_density)
+
     def to_dict(self) -> dict:
         return {name: list(value) if isinstance(value, tuple) else value
                 for name, value in asdict(self).items()}
@@ -199,13 +204,13 @@ def generate_drop(config: ExperimentConfig, num_aggressors: int,
     victim_rp = sample_point_near(victim_tp, config.max_link_range,
                                   config.area_side, rng)
     # tau0 * rng.random() is rng.uniform(0.0, tau0) to the bit.
-    links = [Link(link_id=0, tp_position=victim_tp, rp_position=victim_rp,
+    links = [Link(tp_position=victim_tp, rp_position=victim_rp,
                   entry_rank=1, timing_offset=tau0 * rng.random())]
     for j in range(num_aggressors):
         tp = sample_point_near(victim_rp, config.interference_radius,
                                config.area_side, rng)
         rp = sample_point_near(tp, config.max_link_range, config.area_side, rng)
-        links.append(Link(link_id=j + 1, tp_position=tp, rp_position=rp,
+        links.append(Link(tp_position=tp, rp_position=rp,
                           entry_rank=j + 2,
                           timing_offset=tau0 * rng.random()))
     return NetworkScenario(links=links, area_side=config.area_side,
@@ -214,24 +219,24 @@ def generate_drop(config: ExperimentConfig, num_aggressors: int,
 
 
 def realize_channels(scenario: NetworkScenario, model: ChannelModel,
-                     rng: np.random.Generator, receivers) -> dict:
-    """Channel realizations from every link into each of ``receivers``.
+                     rng: np.random.Generator, receivers) -> tuple:
+    """A drop's channels from every link into each of ``receivers``.
 
-    Keyed (transmitter id, receiver id). Draws run receiver by receiver and,
-    within one, in link order, so the realization set is a pure function of
-    the stream, independent of filter or overlap mode. The sweep passes the
-    victim alone; sum-capacity training passes every link.
+    Returns path gains (receivers, L) and tap gains (receivers, L, T) for
+    ``model.tap_delays``: entry [r, t] is the channel from link t's
+    transmitter into receiver r. Draws run receiver by receiver and, within
+    one, in link order, so the channels are a pure function of the stream,
+    independent of filter or overlap mode. The sweep passes the victim
+    alone; sum-capacity training passes every link.
     """
-    realizations = {}
-    for rx in receivers:
-        for tx in scenario.links:
-            if tx.link_id == rx.link_id:
-                distance = rx.length
-            else:
-                distance = math.dist(tx.tp_position, rx.rp_position)
-            realizations[(tx.link_id, rx.link_id)] = realize_channel(
-                model, distance, rng)
-    return realizations
+    path_gains = np.empty((len(receivers), len(scenario.links)))
+    tap_gains = np.empty(path_gains.shape + (len(model.taps),), dtype=complex)
+    for r, rx in enumerate(receivers):
+        for t, tx in enumerate(scenario.links):
+            distance = rx.length if tx is rx else math.dist(tx.tp_position,
+                                                            rx.rp_position)
+            path_gains[r, t], tap_gains[r, t] = realize_channel(model, distance, rng)
+    return path_gains, tap_gains
 
 
 def scenario_family(config: ExperimentConfig, cross_amb: CrossAmbiguity):
@@ -244,9 +249,9 @@ def scenario_family(config: ExperimentConfig, cross_amb: CrossAmbiguity):
 
     def build(num_links: int, rng: np.random.Generator) -> ScenarioEnergies:
         scenario = generate_drop(config, num_links - 1, rng)
-        realizations = realize_channels(scenario, model, rng, scenario.links)
-        return ScenarioEnergies(scenario, realizations, cross_amb,
-                                snr_db=config.snr_db)
+        path_gains, tap_gains = realize_channels(scenario, model, rng, scenario.links)
+        return ScenarioEnergies(scenario, path_gains, tap_gains,
+                                model.tap_delays, cross_amb, snr_db=config.snr_db)
 
     return build
 
@@ -278,9 +283,7 @@ def train_policy(config: ExperimentConfig, s_max: int) -> QTable:
     ``config.train_overrides`` and the config seed.
     """
     hyperparams = Hyperparams(**config.train_overrides)
-    tx = filter_factory(config.filters[0], config.filter_param,
-                        sample_rate=config.sample_rate,
-                        density=config.lattice_density)
+    tx = config.pulse(config.filters[0])
     cross_amb = CrossAmbiguity(tx, tx, config.lattice,
                                fo_quantum=config.fo_quantum)
     return train(scenario_family(config, cross_amb), s_max, hyperparams,
@@ -329,10 +332,7 @@ def _sweep(config: ExperimentConfig, policy) -> list:
         grid = tuple(float(v) for v in config.aggressor_grid)
     model = config.channel_model
     lattice = config.lattice
-    pulses = {family: filter_factory(family, config.filter_param,
-                                     sample_rate=config.sample_rate,
-                                     density=config.lattice_density)
-              for family in config.filters}
+    pulses = {family: config.pulse(family) for family in config.filters}
     evaluators = {family: CrossAmbiguity(pulse, pulse, lattice,
                                          fo_quantum=config.fo_quantum)
                   for family, pulse in pulses.items()}
@@ -347,9 +347,9 @@ def _sweep(config: ExperimentConfig, policy) -> list:
             geometry_rng = np.random.default_rng([config.seed, g_idx, drop, 0])
             scenario = generate_drop(config, num_aggressors, geometry_rng)
             channel_rng = np.random.default_rng([config.seed, g_idx, drop, 1])
-            realizations = realize_channels(scenario, model, channel_rng,
-                                            scenario.links[:1])
-            victim, aggressors = scenario.links[0], scenario.links[1:]
+            (path_gains,), (tap_gains,) = realize_channels(
+                scenario, model, channel_rng, scenario.links[:1])
+            aggressors = scenario.links[1:]
             qdiffs = {FULL_OVERLAP: [0] * len(aggressors)}
             if POT in config.modes:
                 qdiffs[POT] = _pot_qdiffs(scenario, policy)
@@ -359,7 +359,8 @@ def _sweep(config: ExperimentConfig, policy) -> list:
                      for mode in config.modes}
             for family in config.filters:
                 e_signal, e_self, profiles = victim_energy_tables(
-                    victim, aggressors, realizations, evaluators[family])
+                    scenario.links, 0, path_gains, tap_gains, model.tap_delays,
+                    evaluators[family])
                 noise_var = e_signal / snr_lin
                 for mode in config.modes:
                     # Python floats, summed in link order: from Python 3.12
@@ -425,9 +426,7 @@ def write_surface_csv(path: Path, tau_grid, nu_grid, magnitude,
 def _surface_outputs(config: ExperimentConfig, out_dir: Path) -> dict:
     outputs = {}
     for family in config.filters:
-        pulse = filter_factory(family, config.filter_param,
-                               sample_rate=config.sample_rate,
-                               density=config.lattice_density)
+        pulse = config.pulse(family)
         tau_grid, nu_grid, magnitude = export_ambiguity_surface(
             pulse, config.surface_resolution, config.surface_extent,
             density=config.lattice_density)
@@ -464,8 +463,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         policy = None
         if POT in config.modes:
             table, path, trained_now = load_or_train_policy(config, out_dir)
-            not_converged = sorted(count for count in table.per_count
-                                   if not table.converged.get(count, False))
+            not_converged = table.not_converged_counts()
             summary["qtable"] = {
                 "path": str(path),
                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),

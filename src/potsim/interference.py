@@ -25,25 +25,28 @@ from .waveform import CrossAmbiguity
 _WHOLE_GATHER_CELLS = 3000
 
 
-def _own_energies(cross_amb: CrossAmbiguity, realization) -> tuple:
+def _own_energies(cross_amb: CrossAmbiguity, path_gain, tap_gains, tap_delays) -> tuple:
     """Signal and self-interference energy of a link over its own channel.
 
     The desired symbol is the zero-delay term on the reference subcarrier;
     every other (delta_l, delta_n) term of the own lattice is
     self-interference, from neighbours above and below it.
     """
-    power = np.abs(cross_amb.convolved_block(realization, 0.0, 0)) ** 2
+    block = cross_amb.convolved_block(path_gain, tap_gains, tap_delays, 0.0, 0)
+    power = np.abs(block) ** 2
     e_signal = float(power[cross_amb.lattice.num_symbols - 1,
                            cross_amb.reference_subcarrier])
     return e_signal, float(max(power.sum() - e_signal, 0.0))
 
 
-def victim_energy_tables(victim, aggressors, realizations,
+def victim_energy_tables(links, victim: int, path_gains, tap_gains, tap_delays,
                          cross_amb: CrossAmbiguity):
     """Signal and self energies plus per-aggressor CCI profiles for one victim.
 
-    realizations maps (transmitter_link_id, receiver_link_id) to a
-    ChannelRealization; the victim's own channel sits under (victim, victim).
+    ``links[victim]`` is the victim, every other link an aggressor in link
+    order. path_gains (L,) and tap_gains (L, T) are the victim's row of the
+    drop's channels (``realize_channels``), entry i from link i's
+    transmitter; tap_delays (T,) are the channel model's.
     The victim is demodulated on the evaluator's reference subcarrier
     n0 = N // 2: E_S is the zero-delay term of its own block at subcarrier
     offset 0, and E_SI sums the other (delta_l, delta_n) terms with
@@ -57,17 +60,14 @@ def victim_energy_tables(victim, aggressors, realizations,
     any assignment without touching the channel convolution again, which is
     what lets one drop serve several overlap modes.
     """
-    try:
-        own = realizations[(victim.link_id, victim.link_id)]
-        incoming = [realizations[(aggressor.link_id, victim.link_id)]
-                    for aggressor in aggressors]
-    except KeyError as missing:
-        raise ConfigError(
-            f"missing channel realization for {missing.args[0]}") from None
-    e_signal, e_self = _own_energies(cross_amb, own)
-    tau0, start = cross_amb.lattice.tau0, victim.timing_offset
+    e_signal, e_self = _own_energies(cross_amb, path_gains[victim],
+                                     tap_gains[victim], tap_delays)
+    tau0, start = cross_amb.lattice.tau0, links[victim].timing_offset
+    aggressors = links[:victim] + links[victim + 1:]
+    others = np.arange(len(links)) != victim
     profiles = cross_amb.cci_energy_profiles(
-        incoming, [(aggressor.timing_offset - start) % tau0 for aggressor in aggressors])
+        path_gains[others], tap_gains[others], tap_delays,
+        [(aggressor.timing_offset - start) % tau0 for aggressor in aggressors])
     return e_signal, e_self, profiles
 
 
@@ -105,22 +105,22 @@ class ScenarioEnergies:
     each quantized FO difference (cci[source, victim, qdiff + Q - 1]), plus
     per-link signal, self, and noise energies: one ``victim_energy_tables``
     call per receiving link. Capacity then becomes a table lookup for any FO
-    assignment, which is what policy training iterates on.
+    assignment, which is what policy training iterates on. Row u of the
+    drop's channels (``realize_channels`` over every receiver) is link u's.
     """
 
-    def __init__(self, scenario, realizations, cross_amb: CrossAmbiguity,
-                 snr_db: float):
+    def __init__(self, scenario, path_gains, tap_gains, tap_delays,
+                 cross_amb: CrossAmbiguity, snr_db: float):
         self.fo_quantum = cross_amb.fo_quantum
-        links = list(scenario.links)
-        self.link_ids = [link.link_id for link in links]
+        links = scenario.links
         count = len(links)
         self.e_signal = np.zeros(count)
         self.e_self = np.zeros(count)
         self.cci = np.zeros((count, count, 2 * self.fo_quantum - 1))
-        for u, victim in enumerate(links):
-            others = links[:u] + links[u + 1:]
+        for u in range(count):
             self.e_signal[u], self.e_self[u], self.cci[np.arange(count) != u, u] = (
-                victim_energy_tables(victim, others, realizations, cross_amb))
+                victim_energy_tables(links, u, path_gains[u], tap_gains[u],
+                                     tap_delays, cross_amb))
         self.noise = self.e_signal / (10.0 ** (snr_db / 10.0))
 
 
@@ -134,12 +134,12 @@ class EnsembleEvaluator:
     def __init__(self, drops):
         if not drops:
             raise ConfigError("at least one drop is required")
-        sizes = {len(d.link_ids) for d in drops}
+        sizes = {len(d.e_signal) for d in drops}
         if len(sizes) != 1:
             raise ConfigError("all drops must have the same link count")
         if len({d.fo_quantum for d in drops}) != 1:
             raise ConfigError("all drops must share the FO quantum")
-        self.num_aggressors = len(drops[0].link_ids) - 1
+        self.num_aggressors = len(drops[0].e_signal) - 1
         self.fo_quantum = drops[0].fo_quantum
         # Stacked views over the ensemble keep one capacity query a single
         # vectorized gather, which is what makes training affordable.

@@ -26,7 +26,6 @@ COUNT_THRESHOLD_DB = 3.0
 class Link:
     """One transmitter-receiver pair and its protocol state."""
 
-    link_id: int
     tp_position: tuple
     rp_position: tuple
     entry_rank: int

@@ -108,6 +108,11 @@ class QTable:
     per_count: dict = field(default_factory=dict)
     converged: dict = field(default_factory=dict)
 
+    def not_converged_counts(self) -> list:
+        """Counts, ascending, whose training walk did not converge."""
+        return sorted(count for count in self.per_count
+                      if not self.converged.get(count, False))
+
     def num_actions(self, count: int) -> int:
         return 2 * count + 1
 

@@ -517,11 +517,12 @@ class CrossAmbiguity:
     def _twist(self, lags: np.ndarray) -> np.ndarray:
         return np.exp(-2j * np.pi * np.multiply.outer(lags, self._freqs))
 
-    def convolved_full(self, realization, rel_delay: float) -> np.ndarray:
+    def convolved_full(self, path_gain: float, tap_gains, tap_delays,
+                       rel_delay: float) -> np.ndarray:
         """Channel-convolved ambiguity over the whole frequency index grid.
 
-        Sums tap_gain * A(dl, ., rel_delay + tap_delay) over the taps of
-        ``realization`` and scales by the root path gain; rel_delay is in
+        Sums tap_gain * A(dl, ., rel_delay + tap_delay) over the taps and
+        scales by the root path gain; tap delays and rel_delay are in
         seconds. One spline evaluation serves every FO difference.
 
         A link's own channel is read at rel_delay 0, where the twisted
@@ -532,17 +533,16 @@ class CrossAmbiguity:
         evaluation would, bit for bit.
         """
         if rel_delay == 0.0:
-            key = tuple(realization.tap_delays)
+            key = tuple(tap_delays)
             values = self._own_values.get(key)
             if values is None:
-                values = self._tap_values(realization.tap_delays, rel_delay)
+                values = self._tap_values(tap_delays, rel_delay)
                 values.setflags(write=False)
                 self._own_values[key] = values
         else:
-            values = self._tap_values(realization.tap_delays, rel_delay)
-        gains = np.asarray(realization.tap_gains)
-        block = np.einsum("t,ltj->lj", gains, values)
-        return math.sqrt(realization.path_gain) * block
+            values = self._tap_values(tap_delays, rel_delay)
+        block = np.einsum("t,ltj->lj", np.asarray(tap_gains), values)
+        return math.sqrt(path_gain) * block
 
     def _tap_values(self, tap_delays, rel_delay: float) -> np.ndarray:
         """Twisted lag-table values A(dl, j, delay), shape (2K - 1, taps, J),
@@ -561,7 +561,8 @@ class CrossAmbiguity:
         values = values.reshape(len(self.delta_l), len(delays), -1)
         return values * self._twist(lags)
 
-    def convolved_block(self, realization, rel_delay: float, qdiff: int) -> np.ndarray:
+    def convolved_block(self, path_gain: float, tap_gains, tap_delays,
+                        rel_delay: float, qdiff: int) -> np.ndarray:
         """Channel-convolved ambiguity block at one quantized FO difference.
 
         Column n holds transmit subcarrier offset delta_n = n - n0.
@@ -569,55 +570,52 @@ class CrossAmbiguity:
         q = self.fo_quantum
         if not -q < qdiff < q:
             raise ConfigError("FO difference outside the quantized grid")
-        return self.convolved_full(realization, rel_delay)[
+        return self.convolved_full(path_gain, tap_gains, tap_delays, rel_delay)[
             :, self._profile_columns[qdiff + q - 1]]
 
-    def cci_energy_profile(self, realization, rel_delay: float) -> np.ndarray:
-        """One pair's row of ``cci_energy_profiles``."""
-        return self.cci_energy_profiles([realization], [rel_delay])[0]
-
-    def cci_energy_profiles(self, realizations, rel_delays) -> np.ndarray:
+    def cci_energy_profiles(self, path_gains, tap_gains, tap_delays,
+                            rel_delays) -> np.ndarray:
         """CCI energy profiles of many pairs, shape (pairs, 2Q - 1).
 
-        Entry [i, qdiff + Q - 1] sums |A|^2 of pair i (channel
-        ``realizations[i]`` at relative delay ``rel_delays[i]`` seconds) over
-        delta_l in (-K, K) and the N columns of FO difference qdiff. For one
-        tap at total delay x = (rel_delay + tap_delay) / tau0 in [0, 1],
-        which every AWGN pair meets, the twist and the tap phase drop out of
-        |A|^2 and the sum is path_gain * |g|^2 times the precomputed
+        Pair i has path gain ``path_gains[i]``, tap gains ``tap_gains[i]``
+        (one per entry of the shared ``tap_delays``) and relative delay
+        ``rel_delays[i]`` seconds. Entry [i, qdiff + Q - 1] sums its |A|^2
+        over delta_l in (-K, K) and the N columns of FO difference qdiff.
+        For one tap at total delay x = (rel_delay + tap_delay) / tau0 in
+        [0, 1], which every AWGN pair meets, the twist and the tap phase drop
+        out of |A|^2 and the sum is path_gain * |g|^2 times the precomputed
         polynomial of x's sample interval at the local coordinate
         t = x - k / rate. All such pairs are evaluated together, bit for bit
         as one at a time, and agree with the spline route to rounding. Other
-        realizations go through ``convolved_full`` one by one.
+        pairs go through ``convolved_full`` one by one.
         """
+        path_gains = np.asarray(path_gains, dtype=float)
+        tap_delays = np.asarray(tap_delays)
+        tap_gains = np.asarray(tap_gains).reshape(len(path_gains), len(tap_delays))
+        rel_delays = np.asarray(rel_delays, dtype=float)
         tau0 = self.lattice.tau0
         rate = self.rx_filter.sample_rate
-        intervals, offsets, scales, spline = [], [], [], []
-        for i, (realization, rel_delay) in enumerate(zip(realizations, rel_delays)):
-            if len(realization.tap_delays) == 1:
-                x = float(realization.tap_delays[0]) / tau0 + rel_delay / tau0
-                if 0.0 <= x <= 1.0:
-                    k = min(int(x * rate), rate - 1)
-                    intervals.append(k)
-                    offsets.append(x - k / rate)
-                    scales.append(realization.path_gain
-                                  * abs(complex(realization.tap_gains[0])) ** 2)
-                    continue
-            spline.append(i)
-        # One gather of the interval polynomials, one array of powers of t
-        # and one stacked matrix-vector product, however many taps.
-        offsets, scales = np.array((offsets, scales))
-        energies = self._single_tap.take(intervals, axis=0) @ (
+        x = tap_delays[0] / tau0 + rel_delays / tau0
+        spline = (x < 0.0) | (x > 1.0) | (len(tap_delays) > 1)
+        # Every pair goes through the kernel, and spline pairs then overwrite
+        # their rows. The per-pair scalar arithmetic as arrays, bit for bit:
+        # for x >= 0 the cast truncates like int(), and np.hypot and
+        # np.float_power are the libm hypot and pow behind Python's
+        # abs(complex) and ** 2, which np.abs and an array's ** 2 are not.
+        intervals = np.minimum((x * rate).astype(np.intp), rate - 1)
+        offsets = x - intervals / rate
+        gains = tap_gains[:, 0]
+        scales = path_gains * np.float_power(np.hypot(gains.real, gains.imag), 2.0)
+        # One gather of the interval polynomials (a spline pair's x < 0 reads
+        # row 0), one array of powers of t and one stacked matrix-vector
+        # product, however many pairs.
+        energies = self._single_tap.take(intervals, axis=0, mode="clip") @ (
             offsets[:, None, None] ** _DEGREES)
         energies *= scales[:, None, None]
-        if not spline:
-            return energies[:, :, 0]
-        kernel = np.ones(len(realizations), dtype=bool)
-        kernel[spline] = False
-        profiles = np.empty((len(realizations), len(self._profile_columns)))
-        profiles[kernel] = energies[:, :, 0]
-        for i in spline:
-            full = self.convolved_full(realizations[i], rel_delays[i])
+        profiles = energies[:, :, 0]
+        for i in np.flatnonzero(spline).tolist():
+            full = self.convolved_full(path_gains[i], tap_gains[i], tap_delays,
+                                       rel_delays[i])
             column_power = np.sum(np.abs(full) ** 2, axis=0)
             profiles[i] = column_power[self._profile_columns].sum(axis=1)
         return profiles

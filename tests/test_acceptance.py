@@ -18,7 +18,6 @@ import pytest
 
 from potsim import (ExperimentConfig, LatticeConfig, Link, filter_factory,
                     make_iota, make_rrc)
-from potsim.channel import ChannelRealization
 from potsim.cli import main
 from potsim.experiments import generate_drop, realize_channels, run
 from potsim.interference import (EnsembleEvaluator, ScenarioEnergies,
@@ -236,20 +235,19 @@ def time_domain_energies(pulse, victim_taps, aggressor_taps,
 def model_energies(pulse, victim_taps, aggressor_taps):
     tau0 = ORACLE_LATTICE.tau0
     cross = CrossAmbiguity(pulse, pulse, ORACLE_LATTICE, fo_quantum=8)
-    victim = Link(0, (0.0, 0.0), (10.0, 0.0), 1)
-    aggressor = Link(1, (5.0, 5.0), (12.0, 3.0), 2,
+    victim = Link((0.0, 0.0), (10.0, 0.0), 1)
+    aggressor = Link((5.0, 5.0), (12.0, 3.0), 2,
                      timing_offset=ORACLE_SHIFT * tau0,
                      fo_index=3)
-
-    def realization(taps):
-        return ChannelRealization(1.0,
-                                  np.array([delay * tau0 for _, delay in taps]),
-                                  np.array([gain for gain, _ in taps]))
-
-    realizations = {(0, 0): realization(victim_taps),
-                    (1, 0): realization(aggressor_taps)}
-    e_signal, e_self, profiles = victim_energy_tables(victim, [aggressor],
-                                                      realizations, cross)
+    # Both channels on one delay grid, a tap the other link lacks at gain 0.
+    delays = sorted({delay for _, delay in victim_taps + aggressor_taps})
+    tap_gains = np.zeros((2, len(delays)), dtype=complex)
+    for row, taps in zip(tap_gains, (victim_taps, aggressor_taps)):
+        for gain, delay in taps:
+            row[delays.index(delay)] = gain
+    e_signal, e_self, profiles = victim_energy_tables(
+        [victim, aggressor], 0, np.ones(2), tap_gains,
+        np.array(delays) * tau0, cross)
     qdiff = aggressor.fo_index - victim.fo_index
     return e_signal, e_self, float(profiles[0, qdiff + cross.fo_quantum - 1])
 
@@ -290,9 +288,11 @@ def test_criterion_4_policy_matches_exhaustive_optimum():
         for d in range(TRAIN["ensemble"]):
             rng = np.random.default_rng([0, num_links, d])
             scenario = generate_drop(config, num_links - 1, rng)
-            realizations = realize_channels(scenario, config.channel_model,
-                                            rng, scenario.links)
-            drops.append(ScenarioEnergies(scenario, realizations, cross,
+            model = config.channel_model
+            path_gains, tap_gains = realize_channels(scenario, model, rng,
+                                                     scenario.links)
+            drops.append(ScenarioEnergies(scenario, path_gains, tap_gains,
+                                          model.tap_delays, cross,
                                           snr_db=config.snr_db))
         return drops
 

@@ -145,14 +145,13 @@ def test_drops_are_victim_centric():
     for _ in range(20):
         scenario = generate_drop(config, 5, rng)
         victim = scenario.links[0]
-        assert victim.link_id == 0
         assert victim.entry_rank == 1
         assert victim.length <= config.max_link_range
-        for aggressor in scenario.links[1:]:
+        for rank, aggressor in enumerate(scenario.links[1:], start=2):
             gap = math.dist(aggressor.tp_position, victim.rp_position)
             assert gap <= config.interference_radius + 1e-9
             assert aggressor.length <= config.max_link_range
-            assert aggressor.entry_rank == aggressor.link_id + 1
+            assert aggressor.entry_rank == rank
 
 
 @pytest.mark.parametrize("field", ["interference_radius", "max_link_range"])
@@ -599,6 +598,29 @@ def test_cli_train_to_a_directory_exits_2_before_training(tmp_path, capsys,
     assert main(["train", "--s-max", "2", "--out", str(tmp_path / out),
                  "--config", str(path)]) == 2
     assert f"--out {tmp_path / 'policy.npz'} is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["afile/policy.npz", "afile/deeper/policy"])
+def test_cli_train_under_a_regular_file_exits_2_before_training(tmp_path, capsys,
+                                                                 monkeypatch, out):
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr(potsim.cli, "train_policy", lambda *args: pytest.fail(
+        "trained although --out lies under a regular file"))
+    path = write_config(tmp_path, quick_config())
+    assert main(["train", "--s-max", "2", "--out", str(tmp_path / out),
+                 "--config", str(path)]) == 2
+    assert f"{tmp_path / 'afile'} is not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/out", "afile/deeper/out"])
+def test_cli_run_under_a_regular_file_exits_2_before_the_sweep(tmp_path, capsys,
+                                                               monkeypatch, out):
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr(potsim.cli, "run", lambda *args: pytest.fail(
+        "ran although --out lies under a regular file"))
+    path = write_config(tmp_path, quick_config())
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / out)]) == 2
+    assert f"{tmp_path / 'afile'} is not a directory" in capsys.readouterr().err
 
 
 def test_cli_ambiguity_export(tmp_path):

@@ -10,7 +10,6 @@ import pytest
 
 import potsim
 from potsim import (
-    ChannelRealization,
     CrossAmbiguity,
     EnsembleEvaluator,
     ExperimentConfig,
@@ -27,38 +26,35 @@ from potsim import interference
 Q = 8
 
 
-def unit_tap(gain=1.0):
-    return ChannelRealization(path_gain=abs(gain) ** 2, tap_delays=(0.0,),
-                              tap_gains=(1.0 + 0j,))
-
-
-def link_at(link_id, rank, timing=0.0, fo_index=0):
-    return Link(link_id=link_id, tp_position=(0.0, 0.0), rp_position=(1.0, 0.0),
+def link_at(rank, timing=0.0, fo_index=0):
+    return Link(tp_position=(0.0, 0.0), rp_position=(1.0, 0.0),
                 entry_rank=rank, timing_offset=timing, fo_index=fo_index)
 
 
-def split_of(victim, aggressors, realizations, cross):
-    """(E_S, E_SI, each aggressor's energy at the links' FO indices), as a
-    sweep reads the victim's tables."""
-    e_signal, e_self, profiles = victim_energy_tables(victim, aggressors,
-                                                      realizations, cross)
-    per_aggressor = [float(row[aggressor.fo_index - victim.fo_index + Q - 1])
-                     for row, aggressor in zip(profiles, aggressors)]
+def split_of(links, row, cross, victim=0):
+    """(E_S, E_SI, each aggressor's energy at the links' FO indices) of
+    ``links[victim]`` over its row of channels (path_gains, tap_gains,
+    tap_delays), as a sweep reads the victim's tables."""
+    e_signal, e_self, profiles = victim_energy_tables(links, victim, *row, cross)
+    aggressors = links[:victim] + links[victim + 1:]
+    per_aggressor = [float(r[a.fo_index - links[victim].fo_index + Q - 1])
+                     for r, a in zip(profiles, aggressors)]
     return e_signal, e_self, per_aggressor
 
 
 @pytest.fixture(scope="module")
 def setup(lattice, gaussian_02):
     cross = CrossAmbiguity(gaussian_02, gaussian_02, lattice, fo_quantum=Q)
-    victim = link_at(0, 1)
+    victim = link_at(1)
     return lattice, cross, victim
 
 
-def realizations_for(victim, aggressors, gain=1.0):
-    table = {(victim.link_id, victim.link_id): unit_tap()}
-    for aggressor in aggressors:
-        table[(aggressor.link_id, victim.link_id)] = unit_tap(gain)
-    return table
+def unit_taps(count, gain=1.0):
+    """The victim's row for links[0] as the victim: unit single taps, its own
+    channel at path gain 1 and every aggressor's at |gain|^2."""
+    path_gains = np.full(count, abs(gain) ** 2)
+    path_gains[0] = 1.0
+    return path_gains, np.ones((count, 1), dtype=complex), (0.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +63,15 @@ def realizations_for(victim, aggressors, gain=1.0):
 
 def test_no_aggressors_means_no_cross_interference(setup):
     lattice, cross, victim = setup
-    e_signal, _, per_aggressor = split_of(victim, [], realizations_for(victim, []),
-                                          cross)
+    e_signal, _, per_aggressor = split_of([victim], unit_taps(1), cross)
     assert per_aggressor == []
     assert e_signal == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fully_overlapping_equal_gain_aggressor_couples_at_least_signal_energy(setup):
     lattice, cross, victim = setup
-    aggressor = link_at(1, 2)
-    e_signal, _, (e_oi,) = split_of(victim, [aggressor],
-                                    realizations_for(victim, [aggressor]), cross)
+    aggressor = link_at(2)
+    e_signal, _, (e_oi,) = split_of([victim, aggressor], unit_taps(2), cross)
     # Same filter, same FO, same timing: the (0, 0) term alone already equals
     # the signal energy, the non-orthogonal lattice tails add on top of it.
     assert e_oi >= e_signal - 1e-9
@@ -85,9 +79,8 @@ def test_fully_overlapping_equal_gain_aggressor_couples_at_least_signal_energy(s
 
 def test_full_overlap_gaussian_coupling_matches_theta_series(setup):
     lattice, cross, victim = setup
-    aggressor = link_at(1, 2)
-    _, e_self, (e_oi,) = split_of(victim, [aggressor],
-                                  realizations_for(victim, [aggressor]), cross)
+    aggressor = link_at(2)
+    _, e_self, (e_oi,) = split_of([victim, aggressor], unit_taps(2), cross)
     rho = 0.2
     time_series = sum(math.exp(-math.pi * rho * l * l) for l in range(-11, 12))
     freq_series = sum(math.exp(-math.pi * n * n / rho) for n in range(0, 12))
@@ -97,11 +90,10 @@ def test_full_overlap_gaussian_coupling_matches_theta_series(setup):
 
 def test_half_spacing_offset_couples_less_than_full_overlap(setup):
     lattice, cross, victim = setup
-    overlapped = link_at(1, 2)
-    shifted = link_at(1, 2, fo_index=4)
-    reals = realizations_for(victim, [overlapped])
-    (full,) = split_of(victim, [overlapped], reals, cross)[2]
-    (half,) = split_of(victim, [shifted], reals, cross)[2]
+    overlapped = link_at(2)
+    shifted = link_at(2, fo_index=4)
+    (full,) = split_of([victim, overlapped], unit_taps(2), cross)[2]
+    (half,) = split_of([victim, shifted], unit_taps(2), cross)[2]
     assert half < full
 
 
@@ -110,8 +102,7 @@ def test_orthogonal_rrc_design_lattice_has_negligible_self_interference():
     lat = LatticeConfig.for_bandwidth(200e3, 12, 12, density=1.0 + alpha)
     pulse = make_rrc(alpha)
     cross = CrossAmbiguity(pulse, pulse, lat, fo_quantum=Q)
-    victim = link_at(0, 1)
-    e_signal, e_self, _ = split_of(victim, [], realizations_for(victim, []), cross)
+    e_signal, e_self, _ = split_of([link_at(1)], unit_taps(1), cross)
     assert e_self <= 1e-3 * e_signal
 
 
@@ -123,30 +114,20 @@ def test_orthogonal_full_overlap_aggressor_couples_exactly_signal_energy():
     lat = LatticeConfig.for_bandwidth(200e3, 12, 12, density=1.0 + alpha)
     pulse = make_rrc(alpha)
     cross = CrossAmbiguity(pulse, pulse, lat, fo_quantum=Q)
-    victim = link_at(0, 1)
-    aggressor = link_at(1, 2)
-    reals = realizations_for(victim, [aggressor])
-    e_signal, _, (e_oi,) = split_of(victim, [aggressor], reals, cross)
+    e_signal, _, (e_oi,) = split_of([link_at(1), link_at(2)], unit_taps(2), cross)
     assert e_oi == pytest.approx(e_signal, rel=1e-3)
 
 
 def test_cci_is_additive_over_aggressors(setup):
     lattice, cross, victim = setup
-    aggressors = [link_at(1, 2, timing=0.3 * lattice.tau0, fo_index=2),
-                  link_at(2, 3, timing=0.7 * lattice.tau0, fo_index=5)]
-    reals = realizations_for(victim, aggressors, gain=0.5)
-    both = split_of(victim, aggressors, reals, cross)[2]
-    first_only = split_of(victim, aggressors[:1], reals, cross)[2]
+    aggressors = [link_at(2, timing=0.3 * lattice.tau0, fo_index=2),
+                  link_at(3, timing=0.7 * lattice.tau0, fo_index=5)]
+    both = split_of([victim] + aggressors, unit_taps(3, gain=0.5), cross)[2]
+    first_only = split_of([victim] + aggressors[:1], unit_taps(2, gain=0.5),
+                          cross)[2]
     # One aggressor's entry does not depend on which others are present.
     assert both[:1] == first_only
     assert sum(both) - both[1] == pytest.approx(sum(first_only), rel=1e-12)
-
-
-def test_missing_realization_is_a_config_error(setup):
-    lattice, cross, victim = setup
-    aggressor = link_at(1, 2)
-    with pytest.raises(potsim.ConfigError):
-        split_of(victim, [aggressor], realizations_for(victim, []), cross)
 
 
 # ---------------------------------------------------------------------------
@@ -289,40 +270,47 @@ def test_link_metric_equals_the_per_profile_oracle():
 
 
 def build_scenario(num_links, seed):
+    """An EPA drop with random FO indices, and its channels
+    (path_gains, tap_gains, tap_delays) into every receiver, each pair drawn
+    from its own stream."""
     config = ExperimentConfig(experiment="capacity_vs_aggressors")
     scenario = generate_drop(config, num_links - 1, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     for q, link in zip(rng.integers(0, Q, size=num_links), scenario.links):
         scenario.set_fo_index(link, int(q))
     model = potsim.ChannelModel.epa(800e6)
-    realizations = {}
-    for rx in scenario.links:
-        for tx in scenario.links:
+    path_gains = np.empty((num_links, num_links))
+    tap_gains = np.empty((num_links, num_links, len(model.taps)), dtype=complex)
+    for r, rx in enumerate(scenario.links):
+        for t, tx in enumerate(scenario.links):
             distance = math.dist(tx.tp_position, rx.rp_position)
-            realizations[(tx.link_id, rx.link_id)] = potsim.realize_channel(
-                model, max(distance, 1e-3), np.random.default_rng([seed, tx.link_id, rx.link_id]))
-    return scenario, realizations
+            path_gains[r, t], tap_gains[r, t] = potsim.realize_channel(
+                model, max(distance, 1e-3), np.random.default_rng([seed, t, r]))
+    return scenario, (path_gains, tap_gains, model.tap_delays)
 
 
-def network_capacity(scenario, realizations, cross, noise):
+def network_capacity(scenario, channels, cross, noise):
     """Sum over links of the direct-route capacity, each link as the victim."""
+    path_gains, tap_gains, tap_delays = channels
     total = 0.0
-    for index, victim in enumerate(scenario.links):
-        aggressors = [link for link in scenario.links if link is not victim]
-        e_signal, e_self, per_aggressor = split_of(victim, aggressors,
-                                                   realizations, cross)
+    for index in range(len(scenario.links)):
+        e_signal, e_self, per_aggressor = split_of(
+            scenario.links, (path_gains[index], tap_gains[index], tap_delays),
+            cross, victim=index)
         total += link_metric("capacity", e_signal, e_self, sum(per_aggressor),
                              float(noise[index]), -6.0)
     return total
 
 
 def test_scenario_tables_reproduce_direct_decomposition(lattice, cross_gaussian):
-    scenario, realizations = build_scenario(4, seed=77)
-    energies = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0)
+    scenario, channels = build_scenario(4, seed=77)
+    path_gains, tap_gains, tap_delays = channels
+    energies = ScenarioEnergies(scenario, *channels, cross_gaussian, snr_db=10.0)
     for index, victim in enumerate(scenario.links):
         aggressors = [link for link in scenario.links if link is not victim]
-        e_signal, e_self, per_aggressor = split_of(victim, aggressors, realizations,
-                                                   cross_gaussian)
+        e_signal, e_self, per_aggressor = split_of(
+            scenario.links, (path_gains[index], tap_gains[index], tap_delays),
+            cross_gaussian, victim=index)
         assert energies.e_signal[index] == pytest.approx(e_signal, rel=1e-12)
         assert energies.e_self[index] == pytest.approx(e_self, rel=1e-12)
         assert energies.noise[index] == energies.e_signal[index] / 10.0
@@ -335,44 +323,47 @@ def test_scenario_tables_reproduce_direct_decomposition(lattice, cross_gaussian)
 
 
 def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian):
-    scenario, realizations = build_scenario(4, seed=78)
+    scenario, (path_gains, tap_gains, tap_delays) = build_scenario(4, seed=78)
     victim = scenario.links[0]
     aggressors = scenario.links[1:]
+    row = (path_gains[0], tap_gains[0], tap_delays)
     e_signal, e_self, profiles = victim_energy_tables(
-        victim, aggressors, realizations, cross_gaussian)
-    per_aggressor = split_of(victim, aggressors, realizations, cross_gaussian)[2]
+        scenario.links, 0, *row, cross_gaussian)
+    per_aggressor = split_of(scenario.links, row, cross_gaussian)[2]
     # Own energies from the block itself: the zero-delay term on the
     # reference subcarrier is the signal, every other term self-interference.
     own = np.abs(cross_gaussian.convolved_block(
-        realizations[(0, 0)], 0.0, 0)) ** 2
+        path_gains[0, 0], tap_gains[0, 0], tap_delays, 0.0, 0)) ** 2
     signal = own[lattice.num_symbols - 1, cross_gaussian.reference_subcarrier]
     assert e_signal == pytest.approx(signal, rel=1e-12)
     assert e_self == pytest.approx(own.sum() - signal, rel=1e-9)
     assert profiles.shape == (len(aggressors), 2 * Q - 1)
-    for row, aggressor, direct in zip(profiles, aggressors, per_aggressor):
+    for source, (row, aggressor, direct) in enumerate(
+            zip(profiles, aggressors, per_aggressor), start=1):
         qdiff = aggressor.fo_index - victim.fo_index
         rel_delay = (aggressor.timing_offset - victim.timing_offset) % lattice.tau0
-        pair = cross_gaussian.cci_energy_profile(
-            realizations[(aggressor.link_id, 0)], rel_delay)
+        pair = cross_gaussian.cci_energy_profiles(
+            path_gains[0, source:source + 1], tap_gains[0, source:source + 1],
+            tap_delays, [rel_delay])[0]
         assert np.array_equal(row, pair)
         assert direct == row[qdiff + Q - 1]
 
 
 def test_scenario_sum_capacity_matches_profile_route(lattice, cross_gaussian):
-    scenario, realizations = build_scenario(4, seed=79)
+    scenario, channels = build_scenario(4, seed=79)
     # The evaluator holds the first link at FO 0.
     scenario.set_fo_index(scenario.links[0], 0)
-    energies = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0)
+    energies = ScenarioEnergies(scenario, *channels, cross_gaussian, snr_db=10.0)
     state = tuple(link.fo_index for link in scenario.links[1:])
-    via_profiles = network_capacity(scenario, realizations, cross_gaussian,
+    via_profiles = network_capacity(scenario, channels, cross_gaussian,
                                     energies.noise)
     evaluator = EnsembleEvaluator([energies])
     assert evaluator.mean_sum_capacity(state) == pytest.approx(via_profiles, rel=1e-12)
 
 
 def test_infinite_snr_zeroes_the_noise_floor(lattice, cross_gaussian):
-    scenario, realizations = build_scenario(3, seed=80)
-    energies = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=math.inf)
+    scenario, channels = build_scenario(3, seed=80)
+    energies = ScenarioEnergies(scenario, *channels, cross_gaussian, snr_db=math.inf)
     assert np.all(energies.noise == 0.0)
 
 
@@ -380,12 +371,12 @@ def test_ensemble_evaluator_averages_per_drop_capacities(lattice, cross_gaussian
     drops = []
     per_drop = []
     for seed in (101, 102, 103):
-        scenario, realizations = build_scenario(3, seed=seed)
+        scenario, channels = build_scenario(3, seed=seed)
         for link, q in zip(scenario.links, (0, 2, 7)):
             scenario.set_fo_index(link, q)
-        drop = ScenarioEnergies(scenario, realizations, cross_gaussian, snr_db=10.0)
+        drop = ScenarioEnergies(scenario, *channels, cross_gaussian, snr_db=10.0)
         drops.append(drop)
-        per_drop.append(network_capacity(scenario, realizations, cross_gaussian,
+        per_drop.append(network_capacity(scenario, channels, cross_gaussian,
                                          drop.noise))
     evaluator = EnsembleEvaluator(drops)
     state = (2, 7)
@@ -412,7 +403,7 @@ def random_drop(num_links, rng, floor=0.1):
     floor scales E_SI and noise; at zero the denominator has no floor.
     """
     return types.SimpleNamespace(
-        link_ids=list(range(num_links)), fo_quantum=Q,
+        fo_quantum=Q,
         cci=rng.exponential(size=(num_links, num_links, 2 * Q - 1)),
         e_signal=rng.exponential(size=num_links),
         e_self=rng.exponential(floor, size=num_links),
@@ -493,7 +484,7 @@ def test_batch_query_is_bit_identical_to_the_gather_oracle(monkeypatch, route,
 
 def test_zero_noise_and_zero_self_interference_give_infinite_capacity():
     drop = types.SimpleNamespace(
-        link_ids=[0, 1], fo_quantum=Q, cci=np.zeros((2, 2, 2 * Q - 1)),
+        fo_quantum=Q, cci=np.zeros((2, 2, 2 * Q - 1)),
         e_signal=np.ones(2), e_self=np.zeros(2), noise=np.zeros(2))
     drop.cci[1, 0, Q - 1] = drop.cci[0, 1, Q - 1] = 0.5
     evaluator = EnsembleEvaluator([drop])

@@ -27,8 +27,8 @@ from potsim.experiments import train_policy
 CONFIG = ExperimentConfig(experiment="capacity_vs_aggressors")
 
 
-def make_link(link_id, rank):
-    return Link(link_id=link_id, tp_position=(0.0, 0.0), rp_position=(1.0, 0.0),
+def make_link(rank):
+    return Link(tp_position=(0.0, 0.0), rp_position=(1.0, 0.0),
                 entry_rank=rank)
 
 
@@ -91,7 +91,7 @@ def test_generation_is_seed_deterministic():
 
 
 def test_duplicate_entry_ranks_are_rejected(lattice):
-    links = [make_link(0, 1), make_link(1, 1)]
+    links = [make_link(1), make_link(1)]
     with pytest.raises((potsim.ConfigError, ParameterError)):
         NetworkScenario(links=links, area_side=100.0, max_link_range=10.0,
                         lattice=lattice, fo_quantum=8)
@@ -193,32 +193,32 @@ def test_the_direct_draw_matches_the_resampled_distribution():
 
 
 def test_drop_beyond_three_db_increments_the_counter():
-    link = make_link(0, 1)
+    link = make_link(1)
     link.aggressor_count = 2
     assert update_aggressor_count(link, 10.0, 5.5) == 3
 
 
 def test_small_changes_leave_the_counter_alone():
-    link = make_link(0, 1)
+    link = make_link(1)
     link.aggressor_count = 2
     assert update_aggressor_count(link, 10.0, 8.5) == 2
     assert update_aggressor_count(link, 10.0, 12.9) == 2
 
 
 def test_counter_is_floored_at_zero():
-    link = make_link(0, 1)
+    link = make_link(1)
     assert update_aggressor_count(link, 10.0, 14.0) == 0
 
 
 def test_exact_three_db_change_is_not_an_event():
-    link = make_link(0, 1)
+    link = make_link(1)
     link.aggressor_count = 1
     assert update_aggressor_count(link, 10.0, 7.0) == 1
     assert update_aggressor_count(link, 10.0, 13.0) == 1
 
 
 def test_infinite_drop_counts_once():
-    link = make_link(0, 1)
+    link = make_link(1)
     assert update_aggressor_count(link, math.inf, 0.0) == 1
 
 

@@ -629,7 +629,7 @@ def synthetic_family(optimum=4, noise=0.5):
             cci[second, first] = coupling(np.arange(window))
             cci[first, second] = coupling(2 * (Q - 1) - np.arange(window))
         return types.SimpleNamespace(
-            link_ids=list(range(num_links)), fo_quantum=Q, cci=cci,
+            fo_quantum=Q, cci=cci,
             e_signal=np.ones(num_links), e_self=np.zeros(num_links),
             noise=np.full(num_links, noise))
 
@@ -777,7 +777,7 @@ def step_by_step_train_one_count(table, count, evaluator, rng):
 def random_energies(num_links, rng):
     """Drop energy tables with independent random entries in every cell."""
     return types.SimpleNamespace(
-        link_ids=list(range(num_links)), fo_quantum=Q,
+        fo_quantum=Q,
         cci=rng.exponential(size=(num_links, num_links, 2 * Q - 1)),
         e_signal=rng.exponential(size=num_links),
         e_self=rng.exponential(0.1, size=num_links),

@@ -319,16 +319,26 @@ def test_iota_stays_close_to_gaussian_away_from_lattice_points(lattice):
 # channel-facing evaluator
 
 
+# A pair's channel is (path_gain, tap_gains, tap_delays), the arguments
+# ``convolved_full`` and ``convolved_block`` take ahead of the delay.
+
+
 def unit_tap():
-    return potsim.ChannelRealization(path_gain=1.0,
-                                     tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
+    return 1.0, (1.0 + 0j,), (0.0,)
+
+
+def cci_energy_profile(cross, channel, rel_delay):
+    """One pair's row of ``cci_energy_profiles``."""
+    path_gain, tap_gains, tap_delays = channel
+    return cross.cci_energy_profiles([path_gain], [tap_gains], tap_delays,
+                                     [rel_delay])[0]
 
 
 def test_cross_ambiguity_block_matches_direct_values(cross_gaussian, gaussian_02, lattice):
     # Columns are indexed delta_n + n0; delta_n = 0 and -1 carry |A| of about
     # 0.14 and 0.02 here, so a wrong column or a wrong twist cannot hide
     # below the tolerance.
-    block = cross_gaussian.convolved_block(unit_tap(), 0.37 * lattice.tau0, 3)
+    block = cross_gaussian.convolved_block(*unit_tap(), 0.37 * lattice.tau0, 3)
     n0 = cross_gaussian.reference_subcarrier
     assert n0 == 6
     for delta_n in (0, -1):
@@ -340,7 +350,7 @@ def test_cross_ambiguity_block_matches_direct_values(cross_gaussian, gaussian_02
 
 
 def test_cross_ambiguity_block_vanishes_beyond_combined_span(cross_gaussian):
-    block = cross_gaussian.convolved_block(unit_tap(), 0.0, 0)
+    block = cross_gaussian.convolved_block(*unit_tap(), 0.0, 0)
     # Strictly beyond: the lag at exactly max_lag still reads a spline knot.
     beyond = np.abs(cross_gaussian.delta_l) > cross_gaussian.max_lag
     assert beyond.any()
@@ -349,12 +359,11 @@ def test_cross_ambiguity_block_vanishes_beyond_combined_span(cross_gaussian):
 
 
 def test_cci_profile_columns_match_single_offset_energies(cross_gaussian, rng):
-    realization = potsim.ChannelRealization(path_gain=0.5,
-                                            tap_delays=(0.0,), tap_gains=(1.0 + 0j,))
+    realization = (0.5, (1.0 + 0j,), (0.0,))
     delay = 0.42 * cross_gaussian.lattice.tau0
-    profile = cross_gaussian.cci_energy_profile(realization, delay)
+    profile = cci_energy_profile(cross_gaussian, realization, delay)
     for qdiff in (-7, -3, 0, 2, 7):
-        block = cross_gaussian.convolved_block(realization, delay, qdiff)
+        block = cross_gaussian.convolved_block(*realization, delay, qdiff)
         single = float(np.sum(np.abs(block) ** 2))
         assert profile[qdiff + 8 - 1] == pytest.approx(single, rel=1e-12)
 
@@ -366,35 +375,41 @@ def test_cci_profile_is_periodic_in_the_fo_difference(family, lattice):
     # if the victim has subcarrier neighbours on both sides.
     pulse = filter_factory(family, 0.2)
     cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
-    profile = cross.cci_energy_profile(unit_tap(), 0.42 * lattice.tau0)
+    profile = cci_energy_profile(cross, unit_tap(), 0.42 * lattice.tau0)
     for q in range(1, 8):
         assert profile[q + 8 - 1] == pytest.approx(profile[q - 8 + 8 - 1], rel=1e-5)
 
 
 def nan_to_num_convolved_full(cross, realization, rel_delay):
     """convolved_full with the spline read at every lag and NaN set to zero."""
+    path_gain, tap_gains, tap_delays = realization
     tau0 = cross.lattice.tau0
-    delays = np.asarray(realization.tap_delays) / tau0 + rel_delay / tau0
+    delays = np.asarray(tap_delays) / tau0 + rel_delay / tau0
     lags = cross.delta_l[:, None] + delays[None, :]
     values = np.nan_to_num(cross._spline(lags.reshape(-1)), copy=False)
     values = values.reshape(len(cross.delta_l), len(delays), -1)
     values = values * cross._twist(lags)
-    block = np.einsum("t,ltj->lj", np.asarray(realization.tap_gains), values)
-    return np.sqrt(realization.path_gain) * block
+    block = np.einsum("t,ltj->lj", np.asarray(tap_gains), values)
+    return np.sqrt(path_gain) * block
+
+
+def realized(model, distance, rng):
+    """One pair's channel drawn by ``realize_channel``."""
+    return (*potsim.realize_channel(model, distance, rng), model.tap_delays)
 
 
 def epa_realization(seed):
     model = potsim.ChannelModel.epa(800e6)
-    return potsim.realize_channel(model, 150.0, np.random.default_rng(seed))
+    return realized(model, 150.0, np.random.default_rng(seed))
 
 
 def test_convolved_full_is_finite_and_zero_beyond_the_span(cross_gaussian):
     tau0 = cross_gaussian.lattice.tau0
     realization = epa_realization(5)
     rel_delay = 0.6 * tau0
-    full = cross_gaussian.convolved_full(realization, rel_delay)
+    full = cross_gaussian.convolved_full(*realization, rel_delay)
     assert np.all(np.isfinite(full))
-    delays = np.asarray(realization.tap_delays) / tau0 + rel_delay / tau0
+    delays = np.asarray(realization[2]) / tau0 + rel_delay / tau0
     lags = cross_gaussian.delta_l[:, None] + delays[None, :]
     beyond = np.all(np.abs(lags) > cross_gaussian.max_lag, axis=1)
     assert beyond.any() and not beyond.all()
@@ -409,7 +424,7 @@ def test_convolved_full_matches_the_nan_to_num_formula_at_the_span_edge(
     cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
     tau0 = lattice.tau0
     realization = epa_realization(9)
-    taps = np.asarray(realization.tap_delays) / tau0
+    taps = np.asarray(realization[2]) / tau0
     edge_row = int(cross.max_lag) - 1
     # rel_delay moves row edge_row so that taps up to ``split`` sit at or
     # inside max_lag and later taps beyond it; split 0 puts tap 0 exactly on
@@ -418,7 +433,7 @@ def test_convolved_full_matches_the_nan_to_num_formula_at_the_span_edge(
         rel_delay = (cross.max_lag - edge_row - split) * tau0
         lags = edge_row + (taps + rel_delay / tau0)
         assert (lags <= cross.max_lag).any() and (lags > cross.max_lag).any()
-        assert np.array_equal(cross.convolved_full(realization, rel_delay),
+        assert np.array_equal(cross.convolved_full(*realization, rel_delay),
                               nan_to_num_convolved_full(cross, realization,
                                                         rel_delay))
 
@@ -430,20 +445,19 @@ def test_own_channel_memo_returns_the_oracle_bit_for_bit(family, kind, lattice):
     cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
     model = potsim.ChannelModel.of_kind(kind, 800e6)
     rng = np.random.default_rng(21)
-    first = potsim.realize_channel(model, 150.0, rng)
-    taps = len(first.tap_delays)
+    first = realized(model, 150.0, rng)
+    taps = len(model.tap_delays)
     # The same tap delays with other gains and path gains share one entry.
-    others = [potsim.realize_channel(model, distance, rng)
-              for distance in (3.0, 700.0)]
-    others += [potsim.ChannelRealization(
-        path_gain=path_gain, tap_delays=first.tap_delays,
-        tap_gains=rng.standard_normal(taps) + 1j * rng.standard_normal(taps))
-        for path_gain in (0.37, 2e-9)]
+    others = [realized(model, distance, rng) for distance in (3.0, 700.0)]
+    others += [(path_gain,
+                rng.standard_normal(taps) + 1j * rng.standard_normal(taps),
+                model.tap_delays)
+               for path_gain in (0.37, 2e-9)]
     for realization in [first, first] + others:
-        assert np.array_equal(cross.convolved_full(realization, 0.0),
+        assert np.array_equal(cross.convolved_full(*realization, 0.0),
                               nan_to_num_convolved_full(cross, realization, 0.0))
-    assert list(cross._own_values) == [tuple(first.tap_delays)]
-    assert not cross._own_values[tuple(first.tap_delays)].flags.writeable
+    assert list(cross._own_values) == [tuple(model.tap_delays)]
+    assert not cross._own_values[tuple(model.tap_delays)].flags.writeable
 
 
 @pytest.mark.parametrize("family", ["gaussian", "rrc", "iota"])
@@ -451,40 +465,35 @@ def test_own_channel_memo_keeps_one_entry_per_tap_delay_vector(family, lattice):
     pulse = filter_factory(family, 0.2)
     cross = CrossAmbiguity(pulse, pulse, lattice, fo_quantum=8)
     tau0 = lattice.tau0
-    awgn = potsim.realize_channel(potsim.ChannelModel.awgn(800e6), 90.0,
-                                  np.random.default_rng(1))
+    awgn = realized(potsim.ChannelModel.awgn(800e6), 90.0,
+                    np.random.default_rng(1))
     epa = [epa_realization(seed) for seed in (3, 4)]
     for realization in (awgn, epa[0]):
-        cross.convolved_full(realization, 0.3 * tau0)
-    beyond = potsim.ChannelRealization(
-        path_gain=1.0, tap_delays=(cross.max_lag * tau0,),
-        tap_gains=(1.0,))
+        cross.convolved_full(*realization, 0.3 * tau0)
+    beyond = (1.0, (1.0,), (cross.max_lag * tau0,))
     with pytest.raises(ParameterError):
-        cross.convolved_full(beyond, 0.0)
+        cross.convolved_full(*beyond, 0.0)
     assert cross._own_values == {}
     # One tap, like AWGN's, but at another delay.
-    late = potsim.ChannelRealization(
-        path_gain=0.5, tap_delays=(0.25 * tau0,),
-        tap_gains=(0.3 + 0.4j,))
+    late = (0.5, (0.3 + 0.4j,), (0.25 * tau0,))
     for realization in (awgn, epa[0], late, awgn, epa[1], late):
-        assert np.array_equal(cross.convolved_full(realization, 0.0),
+        assert np.array_equal(cross.convolved_full(*realization, 0.0),
                               nan_to_num_convolved_full(cross, realization, 0.0))
-    assert set(cross._own_values) == {tuple(awgn.tap_delays),
-                                      tuple(epa[0].tap_delays),
-                                      tuple(late.tap_delays)}
+    assert set(cross._own_values) == {tuple(awgn[2]), tuple(epa[0][2]),
+                                      tuple(late[2])}
     assert all(not values.flags.writeable
                for values in cross._own_values.values())
     # A filled memo leaves nonzero relative delays on the spline route.
     for realization in (awgn, epa[1]):
         assert np.array_equal(
-            cross.convolved_full(realization, 0.3 * tau0),
+            cross.convolved_full(*realization, 0.3 * tau0),
             nan_to_num_convolved_full(cross, realization, 0.3 * tau0))
     assert len(cross._own_values) == 3
 
 
 def spline_cci_profile(cross, realization, rel_delay):
     """CCI energy profile summed from ``convolved_full``: the kernel's oracle."""
-    full = cross.convolved_full(realization, rel_delay)
+    full = cross.convolved_full(*realization, rel_delay)
     column_power = np.sum(np.abs(full) ** 2, axis=0)
     return column_power[profile_columns(cross)].sum(axis=1)
 
@@ -518,9 +527,7 @@ def count_general_path_calls(monkeypatch, cross):
 
 def test_single_tap_profile_matches_the_spline_oracle(cross_family, monkeypatch):
     tau0 = cross_family.lattice.tau0
-    realization = potsim.ChannelRealization(
-        path_gain=0.37, tap_delays=(0.0,),
-        tap_gains=(0.6 - 0.9j,))
+    realization = (0.37, (0.6 - 0.9j,), (0.0,))
     rate = cross_family.rx_filter.sample_rate
     delays = np.concatenate((
         [0.0], np.arange(rate + 1) / rate,
@@ -528,7 +535,7 @@ def test_single_tap_profile_matches_the_spline_oracle(cross_family, monkeypatch)
     profiles = {}
     calls = count_general_path_calls(monkeypatch, cross_family)
     for x in delays:
-        profiles[x] = cross_family.cci_energy_profile(realization, x * tau0)
+        profiles[x] = cci_energy_profile(cross_family, realization, x * tau0)
     # Every one of these delays is served by the polynomial kernel.
     assert calls == []
     monkeypatch.undo()
@@ -543,7 +550,7 @@ def test_multi_tap_profile_is_the_spline_route(cross_family):
     for seed, x in ((3, 0.0), (4, 0.42), (5, 0.97)):
         realization = epa_realization(seed)
         assert np.array_equal(
-            cross_family.cci_energy_profile(realization, x * tau0),
+            cci_energy_profile(cross_family, realization, x * tau0),
             spline_cci_profile(cross_family, realization, x * tau0))
 
 
@@ -553,11 +560,9 @@ def test_single_tap_beyond_one_symbol_takes_the_spline_route(
         cross_gaussian, monkeypatch, tap_delay, rel_delay):
     # Delays outside [0, tau0] would extrapolate the kernel's polynomials.
     tau0 = cross_gaussian.lattice.tau0
-    realization = potsim.ChannelRealization(
-        path_gain=2.0, tap_delays=(tap_delay * tau0,),
-        tap_gains=(0.5 + 0.5j,))
+    realization = (2.0, (0.5 + 0.5j,), (tap_delay * tau0,))
     calls = count_general_path_calls(monkeypatch, cross_gaussian)
-    profile = cross_gaussian.cci_energy_profile(realization, rel_delay * tau0)
+    profile = cci_energy_profile(cross_gaussian, realization, rel_delay * tau0)
     assert len(calls) == 1
     monkeypatch.undo()
     assert np.array_equal(profile, spline_cci_profile(cross_gaussian, realization,
@@ -568,14 +573,15 @@ def per_pair_single_tap_profile(cross, realization, rel_delay):
     """The one-pair single-tap formula that ``cci_energy_profiles`` batches,
     kept as its == oracle: the degree-6 polynomial of x's sample interval
     at x's local coordinate, times path_gain * |g|^2."""
+    path_gain, tap_gains, tap_delays = realization
     tau0 = cross.lattice.tau0
-    x = float(realization.tap_delays[0]) / tau0 + rel_delay / tau0
+    x = float(tap_delays[0]) / tau0 + float(rel_delay) / tau0
     assert 0.0 <= x <= 1.0
     rate = cross.rx_filter.sample_rate
     k = min(int(x * rate), rate - 1)
     powers = (x - k / rate) ** np.arange(7)
-    gain = abs(complex(realization.tap_gains[0])) ** 2
-    return (realization.path_gain * gain) * (cross._single_tap[k] @ powers)
+    gain = abs(complex(tap_gains[0])) ** 2
+    return (float(path_gain) * gain) * (cross._single_tap[k] @ powers)
 
 
 @pytest.fixture(scope="module")
@@ -588,11 +594,11 @@ def dyadic_cross(cross_family):
                           lattice, fo_quantum=8)
 
 
-def single_taps(count, rng, tap_delay=0.0):
-    return [potsim.ChannelRealization(
-        path_gain=float(rng.uniform(1e-12, 2.0)), tap_delays=(tap_delay,),
-        tap_gains=(complex(rng.standard_normal(), rng.standard_normal()),))
-        for _ in range(count)]
+def single_taps(count, rng):
+    """(path_gains, tap_gains) of ``count`` random single-tap pairs."""
+    path_gains = rng.uniform(1e-12, 2.0, size=count)
+    tap_gains = rng.standard_normal((count, 1)) + 1j * rng.standard_normal((count, 1))
+    return path_gains, tap_gains
 
 
 @pytest.mark.parametrize("dyadic", [False, True])
@@ -608,46 +614,55 @@ def test_batched_single_tap_profiles_equal_the_per_pair_formula(
     if dyadic:
         assert [delay / tau0 for delay in knots] == [k / rate for k in range(rate + 1)]
     delays = knots + list(rng.random(300) * tau0)
-    realizations = single_taps(len(delays), rng)
     # A tap delay adds to the relative delay.
-    realizations += single_taps(20, rng, tap_delay=0.25 * tau0)
-    delays += list(rng.random(20) * 0.75 * tau0)
-    calls = count_general_path_calls(monkeypatch, cross)
-    batch = cross.cci_energy_profiles(realizations, delays)
-    assert calls == []
-    monkeypatch.undo()
-    assert batch.shape == (len(delays), 2 * cross.fo_quantum - 1)
-    for row, realization, rel_delay in zip(batch, realizations, delays):
-        assert np.array_equal(
-            row, per_pair_single_tap_profile(cross, realization, rel_delay))
-        assert np.array_equal(row, cross.cci_energy_profile(realization, rel_delay))
+    for tap_delays, rel_delays in (((0.0,), delays),
+                                   ((0.25 * tau0,), rng.random(20) * 0.75 * tau0)):
+        path_gains, tap_gains = single_taps(len(rel_delays), rng)
+        calls = count_general_path_calls(monkeypatch, cross)
+        batch = cross.cci_energy_profiles(path_gains, tap_gains, tap_delays,
+                                          rel_delays)
+        assert calls == []
+        monkeypatch.undo()
+        assert batch.shape == (len(rel_delays), 2 * cross.fo_quantum - 1)
+        for row, path_gain, gains, rel_delay in zip(batch, path_gains, tap_gains,
+                                                    rel_delays):
+            pair = (path_gain, gains, tap_delays)
+            assert np.array_equal(
+                row, per_pair_single_tap_profile(cross, pair, rel_delay))
+            assert np.array_equal(row, cci_energy_profile(cross, pair, rel_delay))
 
 
 def test_multi_tap_and_out_of_span_pairs_take_the_spline_route_in_a_batch(
         cross_family, monkeypatch):
     tau0 = cross_family.lattice.tau0
-    rng = np.random.default_rng(43)
-    kernel = single_taps(3, rng)
-    beyond = single_taps(2, rng)
-    pairs = [(kernel[0], 0.1 * tau0), (epa_realization(6), 0.4 * tau0),
-             (beyond[0], -0.25 * tau0), (kernel[1], 0.7 * tau0),
-             (beyond[1], 1.5 * tau0), (epa_realization(7), 0.0),
-             (kernel[2], 1.0 * tau0)]
-    realizations, delays = (list(column) for column in zip(*pairs))
+    path_gains, tap_gains = single_taps(5, np.random.default_rng(43))
+    # Pairs 1 and 3 lie outside [0, tau0].
+    delays = np.array([0.1, -0.25, 0.7, 1.5, 1.0]) * tau0
     calls = count_general_path_calls(monkeypatch, cross_family)
-    batch = cross_family.cci_energy_profiles(realizations, delays)
-    assert [args[0] for args in calls] == [realizations[i] for i in (1, 2, 4, 5)]
+    batch = cross_family.cci_energy_profiles(path_gains, tap_gains, (0.0,), delays)
+    assert [args[3] for args in calls] == [delays[1], delays[3]]
     monkeypatch.undo()
-    for i, (realization, rel_delay) in enumerate(pairs):
-        if i in (1, 2, 4, 5):
-            expected = spline_cci_profile(cross_family, realization, rel_delay)
+    for i, rel_delay in enumerate(delays):
+        pair = (path_gains[i], tap_gains[i], (0.0,))
+        if i in (1, 3):
+            expected = spline_cci_profile(cross_family, pair, rel_delay)
         else:
-            expected = per_pair_single_tap_profile(cross_family, realization, rel_delay)
+            expected = per_pair_single_tap_profile(cross_family, pair, rel_delay)
         assert np.array_equal(batch[i], expected), i
+    # Every multi-tap pair is a spline pair.
+    epa = [epa_realization(seed) for seed in (6, 7)]
+    delays = [0.4 * tau0, 0.0]
+    calls = count_general_path_calls(monkeypatch, cross_family)
+    batch = cross_family.cci_energy_profiles(
+        [pair[0] for pair in epa], [pair[1] for pair in epa], epa[0][2], delays)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for row, pair, rel_delay in zip(batch, epa, delays):
+        assert np.array_equal(row, spline_cci_profile(cross_family, pair, rel_delay))
 
 
 def test_no_pairs_give_an_empty_profile_table(cross_gaussian):
-    profiles = cross_gaussian.cci_energy_profiles([], [])
+    profiles = cross_gaussian.cci_energy_profiles([], np.empty((0, 1)), (0.0,), [])
     assert profiles.shape == (0, 2 * cross_gaussian.fo_quantum - 1)
     assert profiles.dtype == float
 
@@ -655,18 +670,18 @@ def test_no_pairs_give_an_empty_profile_table(cross_gaussian):
 def test_convolved_block_reads_the_columns_of_its_fo_difference(cross_gaussian):
     realization = epa_realization(8)
     rel_delay = 0.3 * cross_gaussian.lattice.tau0
-    full = cross_gaussian.convolved_full(realization, rel_delay)
+    full = cross_gaussian.convolved_full(*realization, rel_delay)
     q = cross_gaussian.fo_quantum
     for qdiff in range(-(q - 1), q):
         assert np.array_equal(
-            cross_gaussian.convolved_block(realization, rel_delay, qdiff),
+            cross_gaussian.convolved_block(*realization, rel_delay, qdiff),
             full[:, profile_columns(cross_gaussian)[qdiff + q - 1]])
 
 
 @pytest.mark.parametrize("qdiff", [-8, 8, 15, -100])
 def test_convolved_block_rejects_an_fo_difference_off_the_grid(cross_gaussian, qdiff):
     with pytest.raises(ConfigError, match="outside the quantized grid"):
-        cross_gaussian.convolved_block(unit_tap(), 0.0, qdiff)
+        cross_gaussian.convolved_block(*unit_tap(), 0.0, qdiff)
 
 
 # ---------------------------------------------------------------------------
