@@ -12,8 +12,9 @@ from pathlib import Path
 
 from .errors import (ConfigError, MissingArtifactError, ParameterError,
                      PolicyUnavailableError)
-from .experiments import (ExperimentConfig, export_ambiguity_surface, run,
-                          train_policy, write_surface_csv)
+from .experiments import (ExperimentConfig, check_under_directory,
+                          export_ambiguity_surface, run, train_policy,
+                          write_surface_csv)
 from .qlearning import artifact_path
 from .waveform import FILTER_FAMILIES, filter_factory
 
@@ -68,17 +69,9 @@ def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _check_out_directory(directory: Path) -> None:
-    """ConfigError unless the nearest existing one of ``directory`` and its
-    ancestors is a directory, so that outputs can be written under it."""
-    existing = next(path for path in (directory, *directory.parents) if path.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"--out: {existing} is not a directory")
-
-
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    _check_out_directory(Path(args.out))
+    check_under_directory(Path(args.out), "--out")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -109,7 +102,7 @@ def _cmd_train(args) -> int:
     out = artifact_path(args.out)
     if out.is_dir():
         raise ConfigError(f"--out {out} is a directory")
-    _check_out_directory(out.parent)
+    check_under_directory(out.parent, "--out")
     table = train_policy(config, args.s_max)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)

@@ -276,6 +276,15 @@ def _policy_path(config: ExperimentConfig, out_dir: Path) -> Path:
     return artifact_path(config.qtable_path or out_dir / "qtable.npz")
 
 
+def check_under_directory(path: Path, name: str) -> None:
+    """ConfigError unless the nearest existing one of ``path`` and its
+    ancestors is a directory, so that files can be written at or under it.
+    ``name`` says which path the message is about."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{name}: {existing} is not a directory")
+
+
 def train_policy(config: ExperimentConfig, s_max: int) -> QTable:
     """Train FO tables for counts 1..s_max on drops of ``config``.
 
@@ -310,6 +319,7 @@ def load_or_train_policy(config: ExperimentConfig, out_dir: Path):
         return table, path, False
     if not config.train_if_missing:
         raise MissingArtifactError(f"no Q-table artifact at {path}")
+    check_under_directory(path.parent, f"Q-table path {path}")
     table = train_policy(config, required_s_max(config))
     path.parent.mkdir(parents=True, exist_ok=True)
     table.save(path)

@@ -10,8 +10,10 @@ summing tap_gain * A(..., tap_delay) over channel taps reproduces the carrier
 rotation a delayed waveform physically picks up.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,12 @@ DEFAULT_SAMPLE_RATE = 16
 # density; repeating the pair drives the lattice inner products to the
 # fixed point where both periodization conditions hold simultaneously.
 _IOTA_PASSES = 4
+
+# Lag-table entries kept per process (see _lag_tables). One entry holds
+# 1.71 MB for the default Gaussian and IOTA (span 8) and 2.55 MB for RRC
+# (span 12) on the default lattice at Q = 8, so the bound keeps at most about
+# 20 MB; the three filters of a run need three entries.
+_LAG_TABLE_ENTRIES = 8
 
 # Powers of the local coordinate in the single-tap CCI energy polynomial
 # (|cubic|^2 has degree 6), as a column: one row of powers per tap.
@@ -104,8 +112,7 @@ class PrototypeFilter:
     @property
     def time_grid(self) -> np.ndarray:
         """Sample times in units of tau0."""
-        n = len(self.samples)
-        return (np.arange(n) - n // 2) / self.sample_rate
+        return _time_grid(len(self.samples), self.sample_rate)
 
     def resample_shifted(self, shifts: np.ndarray) -> np.ndarray:
         """Evaluate the pulse on its own grid delayed by ``shifts`` (tau0 units).
@@ -114,11 +121,20 @@ class PrototypeFilter:
         interpolation, which reproduces stored samples exactly at integer
         sample shifts and treats the pulse as zero outside its span.
         """
-        shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-        spline = _NotAKnotSpline(self.time_grid, self.samples)
-        points = self.time_grid[None, :] - shifts[:, None]
-        values = spline(points)
-        return np.nan_to_num(values, copy=False)
+        return _resample_shifted(self.time_grid, self.samples, shifts)
+
+
+def _time_grid(count: int, sample_rate: int) -> np.ndarray:
+    """``count`` sample times in units of tau0, the center one at 0."""
+    return (np.arange(count) - count // 2) / sample_rate
+
+
+def _resample_shifted(grid: np.ndarray, samples: np.ndarray, shifts) -> np.ndarray:
+    """Samples on ``grid`` delayed by ``shifts``, zero outside the grid."""
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    spline = _NotAKnotSpline(grid, samples)
+    points = grid[None, :] - shifts[:, None]
+    return np.nan_to_num(spline(points), copy=False)
 
 
 class _NotAKnotSpline:
@@ -256,8 +272,7 @@ def _unit_energy(raw: np.ndarray, sample_rate: int) -> np.ndarray:
 
 
 def _pulse_grid(span: float, sample_rate: int) -> np.ndarray:
-    n = _sample_count(span, sample_rate)
-    return (np.arange(n) - n // 2) / sample_rate
+    return _time_grid(_sample_count(span, sample_rate), sample_rate)
 
 
 def make_gaussian(dispersion: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
@@ -412,6 +427,108 @@ def ambiguity(tx_filter: PrototypeFilter, rx_filter: PrototypeFilter,
     return complex(np.sum(shifted * rx_filter.samples * phase) / rx_filter.sample_rate)
 
 
+class _LagTables(NamedTuple):
+    """What a CrossAmbiguity reads of its pulse pair, lattice and Q."""
+
+    delta_l: np.ndarray
+    max_lag: float
+    reference_subcarrier: int
+    spline: _NotAKnotSpline
+    freqs: np.ndarray
+    profile_columns: np.ndarray
+    single_tap: np.ndarray
+
+
+def _pulse_key(pulse: PrototypeFilter) -> tuple:
+    """The content of ``pulse`` that its lag tables read, hashable."""
+    return pulse.samples.dtype.str, pulse.samples.tobytes(), pulse.span
+
+
+@functools.lru_cache(maxsize=_LAG_TABLE_ENTRIES)
+def _lag_tables(tx_key: tuple, rx_key: tuple, rate: int,
+                lattice: LatticeConfig, q: int) -> _LagTables:
+    """Build the read-only tables of one (pulse pair, lattice, Q) evaluator.
+
+    A pure function of its arguments, the content of both pulses included,
+    so equal pulses built apart share one entry and every evaluator sees
+    the tables a fresh build would give, bit for bit.
+    """
+    (tx_dtype, tx_bytes, tx_span), (rx_dtype, rx_bytes, rx_span) = tx_key, rx_key
+    tx_samples = np.frombuffer(tx_bytes, tx_dtype)
+    rx_samples = np.frombuffer(rx_bytes, rx_dtype)
+    k = lattice.num_symbols
+    n_sub = lattice.num_subcarriers
+    delta_l = np.arange(-(k - 1), k)
+    half = (tx_span + rx_span) / 2
+    lag_count = int(np.ceil(half * rate))
+    lags = np.arange(-lag_count, lag_count + 1) / rate
+    # Frequency index j covers dn * Q + qdiff for dn in [-n0, N - 1 - n0]
+    # and signed qdiff in (-Q, Q). With neighbours on both sides of n0, an
+    # FO of q / Q * nu0 couples like (q - Q) / Q * nu0 up to the far band
+    # edges, which the circular FO grid of the network model relies on.
+    reference = n_sub // 2
+    j0 = -reference * q - (q - 1)
+    js = np.arange(j0, (n_sub - 1 - reference) * q + q)
+    freqs = js * lattice.density / q
+    # Both pulses lie on one grid (_check_common_grid).
+    u = _time_grid(len(rx_samples), rate)
+    phases = np.exp(2j * np.pi * np.outer(u, freqs))
+    shifted = _resample_shifted(u, tx_samples, lags)
+    products = shifted * rx_samples[None, :]
+    # The spline interpolates the smooth fixed-anchor correlation; the
+    # delay-anchored phase exp(-2j pi f lag) is restored analytically
+    # after every lookup, where it is exact at any fractional lag.
+    table = (products / rate) @ phases
+    spline = _NotAKnotSpline(lags, table)
+    # Row qdiff + Q - 1 holds the N columns of one signed FO difference,
+    # in transmit-subcarrier order: entry n is the column of
+    # delta_n = n - n0, so the reference subcarrier's own column sits at
+    # position n0.
+    delta_n = np.arange(n_sub) - reference
+    qdiffs = np.arange(-(q - 1), q)
+    profile_columns = delta_n[None, :] * q + qdiffs[:, None] - j0
+    single_tap = _single_tap_kernel(spline.c, profile_columns, delta_l, rate,
+                                    lag_count)
+    for shared in (spline.c, spline.x, spline._parts, freqs, profile_columns,
+                   single_tap, delta_l):
+        shared.setflags(write=False)
+    return _LagTables(delta_l, lag_count / rate, reference, spline, freqs,
+                      profile_columns, single_tap)
+
+
+def _single_tap_kernel(c: np.ndarray, profile_columns: np.ndarray,
+                       delta_l: np.ndarray, rate: int, lag_count: int) -> np.ndarray:
+    """Polynomial coefficients of the one-tap CCI energy profile.
+
+    A tap at delay x = k / rate + t reads lag delta_l + x, which lies in
+    spline interval (delta_l * rate + k + lag_count) at local coordinate
+    t for every delta_l, because the knot step is 1 / rate. On that
+    interval column j is the cubic sum_m c[m, i, j] t^(3 - m), with c
+    the lag-table spline's coefficients in scipy's PPoly layout, so
+    sum |S_j|^2 over the in-span intervals and the columns of one FO
+    difference is a degree-6 polynomial in t. Returns its coefficients
+    as (rate, 2Q - 1, 7), entry p multiplying t^p.
+    """
+    # Re(c_m conj(c_n)) summed over columns is the dot product of the
+    # real parts plus that of the imaginary parts.
+    parts = np.concatenate((c.real, c.imag), axis=-1)
+    power = np.zeros((7,) + parts.shape[1:])
+    for m in range(4):
+        for n in range(4):
+            power[6 - m - n] += parts[m] * parts[n]
+    profiles = len(profile_columns)
+    member = np.zeros((c.shape[2], profiles))
+    member[profile_columns, np.arange(profiles)[:, None]] = 1.0
+    per_interval = power @ np.vstack((member, member))
+    # Intervals beyond the span read a zero row appended at the end.
+    intervals = per_interval.shape[1]
+    padded = np.concatenate(
+        (per_interval, np.zeros((7, 1, profiles))), axis=1)
+    idx = delta_l[None, :] * rate + np.arange(rate)[:, None] + lag_count
+    idx[(idx < 0) | (idx >= intervals)] = intervals
+    return np.ascontiguousarray(np.moveaxis(padded[:, idx].sum(axis=2), 0, -1))
+
+
 class CrossAmbiguity:
     """Fast evaluator of channel-convolved ambiguity blocks.
 
@@ -428,6 +545,11 @@ class CrossAmbiguity:
     polynomial per sample interval of the delay and FO difference, built
     once from the spline's own coefficients (see ``cci_energy_profiles``).
 
+    The lag table, its spline and that kernel are built once per process for
+    each (pulse content, lattice, Q) by ``_lag_tables`` and shared,
+    read-only, by every evaluator of that content; each instance still
+    validates its pair and keeps its own memo of own-channel values.
+
     The receiver demodulates ``reference_subcarrier`` (n0 = N // 2), so the
     subcarrier offsets run over delta_n in [-n0, N - 1 - n0] and every
     (delta_l, delta_n) block puts the desired symbol at [K - 1, n0].
@@ -442,77 +564,12 @@ class CrossAmbiguity:
         self.rx_filter = rx_filter
         self.lattice = lattice
         self.fo_quantum = int(fo_quantum)
-        rate = rx_filter.sample_rate
-        k = lattice.num_symbols
-        n_sub = lattice.num_subcarriers
-        self.delta_l = np.arange(-(k - 1), k)
-        half = (tx_filter.span + rx_filter.span) / 2
-        lag_count = int(np.ceil(half * rate))
-        self.max_lag = lag_count / rate
-        lags = np.arange(-lag_count, lag_count + 1) / rate
-        # Frequency index j covers dn * Q + qdiff for dn in [-n0, N - 1 - n0]
-        # and signed qdiff in (-Q, Q). With neighbours on both sides of n0, an
-        # FO of q / Q * nu0 couples like (q - Q) / Q * nu0 up to the far band
-        # edges, which the circular FO grid of the network model relies on.
-        self.reference_subcarrier = n_sub // 2
-        q = self.fo_quantum
-        j0 = -self.reference_subcarrier * q - (q - 1)
-        js = np.arange(j0, (n_sub - 1 - self.reference_subcarrier) * q + q)
-        freqs = js * lattice.density / self.fo_quantum
-        u = rx_filter.time_grid
-        phases = np.exp(2j * np.pi * np.outer(u, freqs))
-        shifted = tx_filter.resample_shifted(lags)
-        products = shifted * rx_filter.samples[None, :]
-        # The spline interpolates the smooth fixed-anchor correlation; the
-        # delay-anchored phase exp(-2j pi f lag) is restored analytically
-        # after every lookup, where it is exact at any fractional lag.
-        table = (products / rate) @ phases
-        self._spline = _NotAKnotSpline(lags, table)
-        self._freqs = freqs
-        # Row qdiff + Q - 1 holds the N columns of one signed FO difference,
-        # in transmit-subcarrier order: entry n is the column of
-        # delta_n = n - n0, so the reference subcarrier's own column sits at
-        # position n0.
-        delta_n = np.arange(n_sub) - self.reference_subcarrier
-        qdiffs = np.arange(-(q - 1), q)
-        self._profile_columns = delta_n[None, :] * q + qdiffs[:, None] - j0
-        self._single_tap = self._single_tap_kernel(lag_count)
+        (self.delta_l, self.max_lag, self.reference_subcarrier, self._spline,
+         self._freqs, self._profile_columns, self._single_tap) = _lag_tables(
+            _pulse_key(tx_filter), _pulse_key(rx_filter), rx_filter.sample_rate,
+            lattice, self.fo_quantum)
         # Twisted values at rel_delay 0, keyed by tuple(tap_delays).
         self._own_values = {}
-
-    def _single_tap_kernel(self, lag_count: int) -> np.ndarray:
-        """Polynomial coefficients of the one-tap CCI energy profile.
-
-        A tap at delay x = k / rate + t reads lag delta_l + x, which lies in
-        spline interval (delta_l * rate + k + lag_count) at local coordinate
-        t for every delta_l, because the knot step is 1 / rate. On that
-        interval column j is the cubic sum_m c[m, i, j] t^(3 - m), with c
-        the lag-table spline's coefficients in scipy's PPoly layout, so
-        sum |S_j|^2 over the in-span intervals and the columns of one FO
-        difference is a degree-6 polynomial in t. Returns its coefficients
-        as (rate, 2Q - 1, 7), entry p multiplying t^p.
-        """
-        c = self._spline.c
-        # Re(c_m conj(c_n)) summed over columns is the dot product of the
-        # real parts plus that of the imaginary parts.
-        parts = np.concatenate((c.real, c.imag), axis=-1)
-        power = np.zeros((7,) + parts.shape[1:])
-        for m in range(4):
-            for n in range(4):
-                power[6 - m - n] += parts[m] * parts[n]
-        profiles = len(self._profile_columns)
-        member = np.zeros((c.shape[2], profiles))
-        member[self._profile_columns, np.arange(profiles)[:, None]] = 1.0
-        per_interval = power @ np.vstack((member, member))
-        # Intervals beyond the span read a zero row appended at the end.
-        intervals = per_interval.shape[1]
-        padded = np.concatenate(
-            (per_interval, np.zeros((7, 1, profiles))), axis=1)
-        rate = self.rx_filter.sample_rate
-        idx = (self.delta_l[None, :] * rate + np.arange(rate)[:, None]
-               + lag_count)
-        idx[(idx < 0) | (idx >= intervals)] = intervals
-        return np.ascontiguousarray(np.moveaxis(padded[:, idx].sum(axis=2), 0, -1))
 
     def _twist(self, lags: np.ndarray) -> np.ndarray:
         return np.exp(-2j * np.pi * np.multiply.outer(lags, self._freqs))

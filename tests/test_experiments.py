@@ -623,6 +623,32 @@ def test_cli_run_under_a_regular_file_exits_2_before_the_sweep(tmp_path, capsys,
     assert f"{tmp_path / 'afile'} is not a directory" in capsys.readouterr().err
 
 
+@pytest.fixture
+def policy_under_a_file(tmp_path, monkeypatch):
+    """A train-if-missing config whose policy path lies under a regular
+    file; training fails the test. Once, every count was trained before
+    mkdir raised FileExistsError."""
+    (tmp_path / "qfile").write_text("")
+    monkeypatch.setattr(potsim.experiments, "train_policy", lambda *args: pytest.fail(
+        "trained although the policy path lies under a regular file"))
+    return quick_config(qtable_path=str(tmp_path / "qfile" / "policy.npz"))
+
+
+def test_a_policy_path_under_a_regular_file_is_rejected_before_training(
+        tmp_path, policy_under_a_file):
+    with pytest.raises(ConfigError, match="is not a directory") as error:
+        run(policy_under_a_file, tmp_path / "out")
+    assert str(tmp_path / "qfile" / "policy.npz") in str(error.value)
+    assert f"{tmp_path / 'qfile'} is not a directory" in str(error.value)
+
+
+def test_cli_run_with_its_policy_under_a_regular_file_exits_2_before_training(
+        tmp_path, capsys, policy_under_a_file):
+    path = write_config(tmp_path, policy_under_a_file)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{tmp_path / 'qfile'} is not a directory" in capsys.readouterr().err
+
+
 def test_cli_ambiguity_export(tmp_path):
     out = tmp_path / "surface.csv"
     code = main(["ambiguity", "--filter", "gaussian", "--param", "1.0",
@@ -685,3 +711,29 @@ def test_run_path_outputs_are_pinned(tmp_path):
     fresh = f"fresh digests {digests}, prescriptions {prescriptions}"
     assert digests == PINNED_CSV_SHA256, fresh
     assert prescriptions == PINNED_PRESCRIPTIONS, fresh
+
+
+#: sha256 of the three-filter sweep's results.csv body and of the policy its
+#: train-if-missing run writes, as they were before evaluators shared their
+#: lag tables.
+SHARED_TABLES_CSV_SHA256 = "ea797da2c418df924cf2ff3103b9f90b45495ec67dfdbb23a3ad6d866867edf5"
+SHARED_TABLES_POLICY_SHA256 = "69df183c559f5bf5dc28deca17716874cceed669dc9bad42509678d78b753d3e"
+
+
+def test_runs_in_one_process_build_each_evaluator_once(tmp_path):
+    lag_tables = potsim.waveform._lag_tables
+    lag_tables.cache_clear()
+    config = quick_config(filters=("gaussian", "rrc", "iota"), aggressor_grid=(2, 5))
+    run(config, tmp_path / "trained")
+    # Training builds the Gaussian tables and the sweep reuses them.
+    assert lag_tables.cache_info()[:2] == (1, 3)
+    policy = tmp_path / "trained" / "qtable.npz"
+    lag_tables.cache_clear()
+    loaded = replace(config, qtable_path=str(policy), train_if_missing=False)
+    for name in ("first", "second"):
+        run(loaded, tmp_path / name)
+    assert lag_tables.cache_info()[:2] == (3, 3)
+    assert hashlib.sha256(policy.read_bytes()).hexdigest() == SHARED_TABLES_POLICY_SHA256
+    for name in ("trained", "first", "second"):
+        body = (tmp_path / name / "results.csv").read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == SHARED_TABLES_CSV_SHA256, name

@@ -7,6 +7,7 @@ orthogonality) instead of stored sample sequences.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -682,6 +683,120 @@ def test_convolved_block_reads_the_columns_of_its_fo_difference(cross_gaussian):
 def test_convolved_block_rejects_an_fo_difference_off_the_grid(cross_gaussian, qdiff):
     with pytest.raises(ConfigError, match="outside the quantized grid"):
         cross_gaussian.convolved_block(*unit_tap(), 0.0, qdiff)
+
+
+# ---------------------------------------------------------------------------
+# lag tables shared per process
+#
+# Every evaluator of one (pulse content, lattice, Q) reads the tables that
+# waveform._lag_tables built once; a hit must equal a fresh build bit for bit.
+
+lag_tables = potsim.waveform._lag_tables
+
+
+def shared_arrays(cross):
+    spline = cross._spline
+    return (spline.c, spline.x, spline._parts, cross._single_tap, cross._freqs,
+            cross._profile_columns, cross.delta_l)
+
+
+def awgn_and_epa_pairs(cross, rng):
+    """(path_gains, tap_gains, tap_delays, rel_delays) of 40 AWGN pairs,
+    some outside [0, tau0], and of 4 EPA pairs."""
+    tau0 = cross.lattice.tau0
+    path_gains, tap_gains = single_taps(40, rng)
+    awgn = (path_gains, tap_gains, (0.0,), rng.uniform(-0.3, 1.3, 40) * tau0)
+    epa = [epa_realization(seed) for seed in (11, 12, 13, 14)]
+    epa = ([pair[0] for pair in epa], [pair[1] for pair in epa], epa[0][2],
+           rng.uniform(0.0, 0.8, 4) * tau0)
+    return awgn, epa
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rrc", "iota"])
+def test_a_lag_table_hit_equals_a_fresh_build(family, lattice):
+    lag_tables.cache_clear()
+    first_pulse, second_pulse = (filter_factory(family, 0.2) for _ in range(2))
+    assert first_pulse is not second_pulse
+    first = CrossAmbiguity(first_pulse, first_pulse, lattice, fo_quantum=8)
+    own = epa_realization(15)
+    first.convolved_full(*own, 0.0)
+    assert first._own_values
+    hit = CrossAmbiguity(second_pulse, second_pulse, lattice, fo_quantum=8)
+    assert lag_tables.cache_info()[:2] == (1, 1)
+    assert hit._spline is first._spline and hit._own_values == {}
+    lag_tables.cache_clear()
+    fresh_pulse = filter_factory(family, 0.2)
+    fresh = CrossAmbiguity(fresh_pulse, fresh_pulse, lattice, fo_quantum=8)
+    assert fresh._spline is not first._spline
+    evaluators = (first, hit, fresh)
+    for cross in evaluators:
+        assert np.array_equal(cross._single_tap, fresh._single_tap)
+        assert np.array_equal(cross._spline.c, fresh._spline.c)
+        assert not any(array.flags.writeable for array in shared_arrays(cross))
+    pairs = awgn_and_epa_pairs(fresh, np.random.default_rng(17))
+    tau0 = lattice.tau0
+    for batch in pairs:
+        expected = fresh.cci_energy_profiles(*batch)
+        for cross in (first, hit):
+            assert np.array_equal(cross.cci_energy_profiles(*batch), expected)
+    for channel in (realized(potsim.ChannelModel.awgn(800e6), 90.0,
+                             np.random.default_rng(18)), own):
+        for rel_delay in (0.0, 0.3 * tau0):
+            expected = fresh.convolved_full(*channel, rel_delay)
+            for cross in (first, hit):
+                assert np.array_equal(cross.convolved_full(*channel, rel_delay),
+                                      expected)
+
+
+def test_every_key_part_gives_its_own_lag_tables(gaussian_02, iota_02, lattice):
+    lag_tables.cache_clear()
+    CrossAmbiguity(gaussian_02, gaussian_02, lattice, fo_quantum=8)
+    # The same samples over a span that rounds to the same sample count: only
+    # the span differs, and it moves the lag grid by one knot.
+    longer = replace(gaussian_02, span=gaussian_02.span + 1e-11)
+    variants = {
+        "dispersion": (make_gaussian(0.25), make_gaussian(0.25), lattice, 8),
+        "span": (longer, longer, lattice, 8),
+        "N": (gaussian_02, gaussian_02, replace(lattice, num_subcarriers=10), 8),
+        "K": (gaussian_02, gaussian_02, replace(lattice, num_symbols=6), 8),
+        "fo_quantum": (gaussian_02, gaussian_02, lattice, 4),
+        "tx != rx": (gaussian_02, iota_02, lattice, 8),
+        "rx != tx": (iota_02, gaussian_02, lattice, 8),
+    }
+    for name, (tx, rx, variant_lattice, q) in variants.items():
+        misses = lag_tables.cache_info().misses
+        cross = CrossAmbiguity(tx, rx, variant_lattice, fo_quantum=q)
+        assert lag_tables.cache_info().misses == misses + 1, name
+        fresh = lag_tables.__wrapped__(
+            potsim.waveform._pulse_key(tx), potsim.waveform._pulse_key(rx),
+            tx.sample_rate, variant_lattice, q)
+        assert cross._spline.c.shape == fresh.spline.c.shape, name
+        for ours, theirs in zip(shared_arrays(cross),
+                                (fresh.spline.c, fresh.spline.x, fresh.spline._parts,
+                                 fresh.single_tap, fresh.freqs,
+                                 fresh.profile_columns, fresh.delta_l)):
+            assert np.array_equal(ours, theirs), name
+        assert (cross.max_lag, cross.reference_subcarrier) == (
+            fresh.max_lag, fresh.reference_subcarrier), name
+    assert len(longer.samples) == len(gaussian_02.samples)
+    assert CrossAmbiguity(longer, longer, lattice).max_lag > CrossAmbiguity(
+        gaussian_02, gaussian_02, lattice).max_lag
+
+
+def test_rejected_builds_are_not_kept_and_the_memo_is_bounded(gaussian_02, rrc_02,
+                                                             lattice):
+    lag_tables.cache_clear()
+    CrossAmbiguity(gaussian_02, gaussian_02, lattice)
+    with pytest.raises(ConfigError, match="share a sample grid"):
+        CrossAmbiguity(rrc_02, gaussian_02, lattice)
+    with pytest.raises(ParameterError, match="fo_quantum"):
+        CrossAmbiguity(gaussian_02, gaussian_02, lattice, fo_quantum=0)
+    assert lag_tables.cache_info().currsize == 1
+    bound = potsim.waveform._LAG_TABLE_ENTRIES
+    assert lag_tables.cache_info().maxsize == bound
+    for q in range(1, bound + 3):
+        CrossAmbiguity(gaussian_02, gaussian_02, lattice, fo_quantum=q)
+    assert lag_tables.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------
