@@ -71,7 +71,6 @@ def _load_config(path: str) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    check_under_directory(Path(args.out), "--out")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

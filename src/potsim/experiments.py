@@ -233,9 +233,8 @@ def realize_channels(scenario: NetworkScenario, model: ChannelModel,
     tap_gains = np.empty(path_gains.shape + (len(model.taps),), dtype=complex)
     for r, rx in enumerate(receivers):
         for t, tx in enumerate(scenario.links):
-            distance = rx.length if tx is rx else math.dist(tx.tp_position,
-                                                            rx.rp_position)
-            path_gains[r, t], tap_gains[r, t] = realize_channel(model, distance, rng)
+            path_gains[r, t], tap_gains[r, t] = realize_channel(
+                model, math.dist(tx.tp_position, rx.rp_position), rng)
     return path_gains, tap_gains
 
 
@@ -457,6 +456,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     run from one that had to train a policy that did not converge.
     """
     out_dir = Path(out_dir)
+    check_under_directory(out_dir, f"output directory {out_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = config.config_hash()
     summary = {

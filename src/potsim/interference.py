@@ -25,20 +25,6 @@ from .waveform import CrossAmbiguity
 _WHOLE_GATHER_CELLS = 3000
 
 
-def _own_energies(cross_amb: CrossAmbiguity, path_gain, tap_gains, tap_delays) -> tuple:
-    """Signal and self-interference energy of a link over its own channel.
-
-    The desired symbol is the zero-delay term on the reference subcarrier;
-    every other (delta_l, delta_n) term of the own lattice is
-    self-interference, from neighbours above and below it.
-    """
-    block = cross_amb.convolved_block(path_gain, tap_gains, tap_delays, 0.0, 0)
-    power = np.abs(block) ** 2
-    e_signal = float(power[cross_amb.lattice.num_symbols - 1,
-                           cross_amb.reference_subcarrier])
-    return e_signal, float(max(power.sum() - e_signal, 0.0))
-
-
 def victim_energy_tables(links, victim: int, path_gains, tap_gains, tap_delays,
                          cross_amb: CrossAmbiguity):
     """Signal and self energies plus per-aggressor CCI profiles for one victim.
@@ -60,8 +46,8 @@ def victim_energy_tables(links, victim: int, path_gains, tap_gains, tap_delays,
     any assignment without touching the channel convolution again, which is
     what lets one drop serve several overlap modes.
     """
-    e_signal, e_self = _own_energies(cross_amb, path_gains[victim],
-                                     tap_gains[victim], tap_delays)
+    e_signal, e_self = cross_amb.own_energies(path_gains[victim],
+                                              tap_gains[victim], tap_delays)
     tau0, start = cross_amb.lattice.tau0, links[victim].timing_offset
     aggressors = links[:victim] + links[victim + 1:]
     others = np.arange(len(links)) != victim

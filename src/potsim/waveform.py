@@ -175,15 +175,9 @@ class _NotAKnotSpline:
         lower = dx[1:].tolist() + [float(x[-1] - x[-3])]
         diag = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
         upper = [float(x[2] - x[0])] + dx[:-1].tolist()
-        if y.ndim == 1:
-            # One right-hand side: Python floats round as LAPACK does, without
-            # numpy's per-call overhead on every row.
-            s = np.array(_solve_tridiagonal(lower, diag, upper, s.tolist()))
-        else:
-            # Row by row in place. Complex rows go through their real view,
-            # each component divided by the real pivot, as zgtsv does for a
-            # real matrix.
-            _solve_tridiagonal(lower, diag, upper, list(_real_view(s.reshape(n, -1))))
+        # Row by row in place. Complex rows go through their real view, each
+        # component divided by the real pivot, as zgtsv does for a real matrix.
+        _solve_tridiagonal(lower, diag, upper, list(_real_view(s.reshape(n, -1))))
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         self.c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
         self.x = x
@@ -193,14 +187,11 @@ class _NotAKnotSpline:
         """Values at ``points``, shape points.shape + y.shape[1:]."""
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1)
-        x = self.x
-        shape = points.shape + self.c.shape[2:]
-        if flat.size and x[0] <= flat.min() <= flat.max() <= x[-1]:
-            return self._in_span(flat).reshape(shape)
-        inside = (flat >= x[0]) & (flat <= x[-1])
-        values = np.full((flat.size,) + self.c.shape[2:], np.nan, dtype=self.c.dtype)
-        values[inside] = self._in_span(flat[inside]).reshape((-1,) + self.c.shape[2:])
-        return values.reshape(shape)
+        columns = self.c.shape[2:]
+        inside = (flat >= self.x[0]) & (flat <= self.x[-1])
+        values = np.full((flat.size,) + columns, np.nan, dtype=self.c.dtype)
+        values[inside] = self._in_span(flat[inside]).reshape((-1,) + columns)
+        return values.reshape(points.shape + columns)
 
     def _in_span(self, flat: np.ndarray) -> np.ndarray:
         """Values at points in [x[0], x[-1]], one row per point."""
@@ -232,8 +223,8 @@ def _solve_tridiagonal(lower, diag, upper, rows):
 
     ``lower``, ``diag`` and ``upper`` are lists of floats (lower[k] sits in
     row k + 1, upper[k] in row k); ``rows`` is a list of right-hand side
-    rows, floats or array views that are updated in place. Returns
-    ``rows``. Raises ConfigError where gtsv would interchange rows.
+    rows, array views that are updated in place. Returns ``rows``. Raises
+    ConfigError where gtsv would interchange rows.
     """
     n = len(rows)
     diag = list(diag)
@@ -551,8 +542,9 @@ class CrossAmbiguity:
     validates its pair and keeps its own memo of own-channel values.
 
     The receiver demodulates ``reference_subcarrier`` (n0 = N // 2), so the
-    subcarrier offsets run over delta_n in [-n0, N - 1 - n0] and every
-    (delta_l, delta_n) block puts the desired symbol at [K - 1, n0].
+    subcarrier offsets run over delta_n in [-n0, N - 1 - n0] and
+    ``own_energies`` splits a link's own block into the desired symbol at
+    [K - 1, n0] and self-interference.
     """
 
     def __init__(self, tx_filter: PrototypeFilter, rx_filter: PrototypeFilter,
@@ -609,26 +601,26 @@ class CrossAmbiguity:
         if np.any(np.abs(delays) >= self.max_lag):
             raise ParameterError("tap delay exceeds the filter span")
         lags = self.delta_l[:, None] + delays[None, :]
-        # The pulses do not overlap beyond max_lag, so only in-span lags reach
-        # the spline; the rest stay exactly zero.
-        flat = lags.reshape(-1)
-        inside = np.abs(flat) <= self.max_lag
-        values = np.zeros((flat.size, len(self._freqs)), dtype=complex)
-        values[inside] = self._spline(flat[inside])
-        values = values.reshape(len(self.delta_l), len(delays), -1)
+        # The pulses do not overlap beyond max_lag, the spline's span, so
+        # lags outside it read exactly zero.
+        values = np.nan_to_num(self._spline(lags), copy=False)
         return values * self._twist(lags)
 
-    def convolved_block(self, path_gain: float, tap_gains, tap_delays,
-                        rel_delay: float, qdiff: int) -> np.ndarray:
-        """Channel-convolved ambiguity block at one quantized FO difference.
+    def own_energies(self, path_gain: float, tap_gains, tap_delays) -> tuple:
+        """Signal and self-interference energy of a link over its own channel.
 
-        Column n holds transmit subcarrier offset delta_n = n - n0.
+        The receiver demodulates the reference subcarrier n0, so the desired
+        symbol is the zero-delay term at FO difference 0 and subcarrier
+        offset 0, entry [K - 1, n0] of its block; every other (delta_l,
+        delta_n) term of the own lattice is self-interference, from
+        neighbours above and below it. Reads the own-channel memo of
+        ``convolved_full``.
         """
-        q = self.fo_quantum
-        if not -q < qdiff < q:
-            raise ConfigError("FO difference outside the quantized grid")
-        return self.convolved_full(path_gain, tap_gains, tap_delays, rel_delay)[
-            :, self._profile_columns[qdiff + q - 1]]
+        block = self.convolved_full(path_gain, tap_gains, tap_delays, 0.0)[
+            :, self._profile_columns[self.fo_quantum - 1]]
+        power = np.abs(block) ** 2
+        e_signal = float(power[self.lattice.num_symbols - 1, self.reference_subcarrier])
+        return e_signal, float(max(power.sum() - e_signal, 0.0))
 
     def cci_energy_profiles(self, path_gains, tap_gains, tap_delays,
                             rel_delays) -> np.ndarray:

@@ -40,3 +40,13 @@ def cross_gaussian(gaussian_02, lattice):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def fo_columns():
+    """``fo_columns(cross, full, qdiff)``: the block of FO difference qdiff in
+    a ``convolved_full`` result; column n holds subcarrier offset n - n0."""
+    def columns(cross, full, qdiff):
+        q = cross.fo_quantum
+        return full[:, np.arange(cross.lattice.num_subcarriers) * q + qdiff + q - 1]
+    return columns

@@ -170,23 +170,23 @@ def unit_tap():
 
 
 def block_entry(block, delta_l, delta_n, cross):
-    """Entry of a ``convolved_block`` at lattice offset (delta_l, delta_n)."""
+    """Entry of an FO difference's block at lattice offset (delta_l, delta_n)."""
     k = cross.lattice.num_symbols
     return block[delta_l + k - 1, delta_n + cross.reference_subcarrier]
 
 
 def test_identity_channel_reduces_to_bare_ambiguity(cross_gaussian, gaussian_02,
-                                                    lattice):
-    block = cross_gaussian.convolved_block(*unit_tap(), 0.0, 0)
+                                                    lattice, fo_columns):
+    block = fo_columns(cross_gaussian, cross_gaussian.convolved_full(*unit_tap(), 0.0), 0)
     for dl, dn in ((0, 0), (1, 0), (0, 2)):
         direct = ambiguity(gaussian_02, gaussian_02, lattice, dl, dn, 0.0, 0.0)
         assert abs(block_entry(block, dl, dn, cross_gaussian) - direct) < 1e-5
 
 
-def test_convolved_block_is_linear_in_tap_gains(cross_gaussian, lattice):
+def test_convolved_block_is_linear_in_tap_gains(cross_gaussian, lattice, fo_columns):
     doubled = (1.0, (1.0 + 0j, 1.0 + 0j), (0.0, 0.0))
-    assert np.allclose(cross_gaussian.convolved_block(*doubled, 0.0, 0),
-                       2 * cross_gaussian.convolved_block(*unit_tap(), 0.0, 0),
+    assert np.allclose(cross_gaussian.convolved_full(*doubled, 0.0),
+                       2 * cross_gaussian.convolved_full(*unit_tap(), 0.0),
                        rtol=0.0, atol=1e-12)
 
     rng = np.random.default_rng(2)
@@ -195,30 +195,34 @@ def test_convolved_block_is_linear_in_tap_gains(cross_gaussian, lattice):
     g2 = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     mix = tuple(a + b for a, b in zip(g1, g2))
     rel_delay = 0.3 * lattice.tau0
-    parts = [cross_gaussian.convolved_block(1.0, g, delays, rel_delay, 1)
+    parts = [fo_columns(cross_gaussian,
+                        cross_gaussian.convolved_full(1.0, g, delays, rel_delay), 1)
              for g in (g1, g2, mix)]
     assert np.allclose(parts[2], parts[0] + parts[1], rtol=0.0, atol=1e-9)
 
 
-def test_convolved_block_respects_the_triangle_bound(cross_gaussian, lattice):
+def test_convolved_block_respects_the_triangle_bound(cross_gaussian, lattice,
+                                                     fo_columns):
     # Unit-energy pulses have |A| <= 1 at every offset, so no entry can
     # exceed the root path gain times the summed tap magnitudes.
     model = ChannelModel.epa(CARRIER)
     path_gain, tap_gains = realize_channel(model, 20.0, np.random.default_rng(17))
     bound = np.sqrt(path_gain) * np.sum(np.abs(tap_gains))
     for rel, qdiff in ((0.0, 0), (0.42, 3), (0.9, -5)):
-        block = cross_gaussian.convolved_block(path_gain, tap_gains, model.tap_delays,
-                                               rel * lattice.tau0, qdiff)
+        block = fo_columns(cross_gaussian, cross_gaussian.convolved_full(
+            path_gain, tap_gains, model.tap_delays, rel * lattice.tau0), qdiff)
         assert np.max(np.abs(block)) <= bound * (1.0 + 1e-6)
 
 
 def test_multi_tap_block_matches_direct_ambiguity_values(cross_gaussian,
-                                                        gaussian_02, lattice):
+                                                        gaussian_02, lattice,
+                                                        fo_columns):
     tau0, nu0 = lattice.tau0, lattice.nu0
     taps = np.array([0.0, 0.04, 0.11]) * tau0
     gains = np.array([0.8 - 0.1j, -0.35 + 0.4j, 0.2 + 0.25j])
     path_gain, rel, qdiff = 0.37, 0.37 * tau0, 3
-    block = cross_gaussian.convolved_block(path_gain, gains, taps, rel, qdiff)
+    block = fo_columns(cross_gaussian,
+                       cross_gaussian.convolved_full(path_gain, gains, taps, rel), qdiff)
     checked = 0
     for dl, dn in ((0, 0), (-1, 0), (-2, 0), (-2, -1), (1, 0)):
         direct = np.sqrt(path_gain) * sum(
@@ -234,5 +238,4 @@ def test_multi_tap_block_matches_direct_ambiguity_values(cross_gaussian,
 
 def test_tap_delay_beyond_the_filter_span_is_loud(cross_gaussian, lattice):
     with pytest.raises(ParameterError):
-        cross_gaussian.convolved_block(1.0, (1.0 + 0j,), (20.0 * lattice.tau0,),
-                                       0.0, 0)
+        cross_gaussian.convolved_full(1.0, (1.0 + 0j,), (20.0 * lattice.tau0,), 0.0)

@@ -67,7 +67,16 @@ def per_pair_profiles(cross, pairs, tap_delays, rel_delays):
     return profiles
 
 
-def per_pair_energies(scenario, realizations, tap_delays, cross):
+def per_pair_own_energies(cross, fo_columns, path_gain, tap_gains, tap_delays):
+    """(e_signal, e_self) of a link's own channel from its block at FO
+    difference 0, read through ``convolved_full``."""
+    own = np.abs(fo_columns(cross, cross.convolved_full(
+        path_gain, tap_gains, tap_delays, 0.0), 0)) ** 2
+    signal = float(own[cross.lattice.num_symbols - 1, cross.reference_subcarrier])
+    return signal, float(max(own.sum() - signal, 0.0))
+
+
+def per_pair_energies(scenario, realizations, tap_delays, cross, fo_columns):
     """(e_signal, e_self, cci, noise) of ``ScenarioEnergies`` by the
     per-pair route."""
     links = scenario.links
@@ -75,10 +84,8 @@ def per_pair_energies(scenario, realizations, tap_delays, cross):
     e_signal, e_self = np.zeros(count), np.zeros(count)
     cci = np.zeros((count, count, 2 * cross.fo_quantum - 1))
     for u, victim in enumerate(links):
-        own = np.abs(cross.convolved_block(*realizations[(u, u)], tap_delays,
-                                           0.0, 0)) ** 2
-        signal = float(own[cross.lattice.num_symbols - 1, cross.reference_subcarrier])
-        e_signal[u], e_self[u] = signal, float(max(own.sum() - signal, 0.0))
+        e_signal[u], e_self[u] = per_pair_own_energies(
+            cross, fo_columns, *realizations[(u, u)], tap_delays)
         others = [t for t in range(count) if t != u]
         rel_delays = [(links[t].timing_offset - victim.timing_offset)
                       % cross.lattice.tau0 for t in others]
@@ -107,7 +114,7 @@ def cross(request):
 @pytest.mark.parametrize("aggressors", [1, 5, 50])
 @pytest.mark.parametrize("channel", list(MODELS))
 def test_scenario_energies_equal_the_per_pair_route(cross, channel, aggressors,
-                                                    monkeypatch):
+                                                    monkeypatch, fo_columns):
     model = MODELS[channel]()
     scenario = generate_drop(CONFIG, aggressors, np.random.default_rng(aggressors))
     seed = [aggressors, 1]
@@ -126,7 +133,8 @@ def test_scenario_energies_equal_the_per_pair_route(cross, channel, aggressors,
     energies = ScenarioEnergies(scenario, path_gains, tap_gains, model.tap_delays,
                                 cross, snr_db=SNR_DB)
     monkeypatch.undo()
-    expected = per_pair_energies(scenario, realizations, model.tap_delays, cross)
+    expected = per_pair_energies(scenario, realizations, model.tap_delays, cross,
+                                 fo_columns)
     for name, table in zip(("e_signal", "e_self", "cci", "noise"), expected):
         assert np.array_equal(getattr(energies, name), table), name
     # AWGN pairs all take the kernel, EPA pairs never; the late tap takes
@@ -138,6 +146,27 @@ def test_scenario_energies_equal_the_per_pair_route(cross, channel, aggressors,
         assert spline == pairs
     elif aggressors > 1:
         assert 0 < spline < pairs
+
+
+@pytest.mark.parametrize("channel", ["awgn", "epa"])
+def test_own_energies_equal_the_per_pair_route_on_a_memo_miss_and_hit(
+        cross, channel, fo_columns):
+    # A fresh evaluator starts with an empty own-channel memo: the first link
+    # fills it, the second reads it, and each must equal a fresh evaluation.
+    model = MODELS[channel]()
+    scenario = generate_drop(CONFIG, 1, np.random.default_rng(5))
+    realizations = per_pair_realizations(
+        scenario, model, np.random.default_rng(6), range(2))
+    evaluator = CrossAmbiguity(cross.tx_filter, cross.rx_filter, cross.lattice,
+                               fo_quantum=cross.fo_quantum)
+    for u, memo_before in ((0, 0), (1, 1)):
+        assert len(evaluator._own_values) == memo_before
+        fresh = CrossAmbiguity(cross.tx_filter, cross.rx_filter, cross.lattice,
+                               fo_quantum=cross.fo_quantum)
+        expected = per_pair_own_energies(fresh, fo_columns, *realizations[(u, u)],
+                                         model.tap_delays)
+        assert evaluator.own_energies(*realizations[(u, u)], model.tap_delays) == expected
+    assert len(evaluator._own_values) == 1
 
 
 @pytest.mark.parametrize("victim_only", [True, False])

@@ -612,15 +612,32 @@ def test_cli_train_under_a_regular_file_exits_2_before_training(tmp_path, capsys
     assert f"{tmp_path / 'afile'} is not a directory" in capsys.readouterr().err
 
 
+@pytest.fixture
+def afile(tmp_path, monkeypatch):
+    """A regular file ``afile`` in tmp_path; fetching a policy or sweeping
+    fails the test."""
+    (tmp_path / "afile").write_text("")
+    for name in ("load_or_train_policy", "_sweep"):
+        monkeypatch.setattr(potsim.experiments, name, lambda *args: pytest.fail(
+            "ran although the output directory lies under a regular file"))
+    return tmp_path / "afile"
+
+
 @pytest.mark.parametrize("out", ["afile", "afile/out", "afile/deeper/out"])
 def test_cli_run_under_a_regular_file_exits_2_before_the_sweep(tmp_path, capsys,
-                                                               monkeypatch, out):
-    (tmp_path / "afile").write_text("")
-    monkeypatch.setattr(potsim.cli, "run", lambda *args: pytest.fail(
-        "ran although --out lies under a regular file"))
+                                                               afile, out):
     path = write_config(tmp_path, quick_config())
     assert main(["run", "--config", str(path), "--out", str(tmp_path / out)]) == 2
     assert f"{tmp_path / 'afile'} is not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/out", "afile/deeper/out"])
+def test_run_under_a_regular_file_is_rejected_before_any_work(tmp_path, afile, out):
+    with pytest.raises(ConfigError) as error:
+        run(quick_config(), tmp_path / out)
+    assert f"output directory {tmp_path / out}: {afile} is not a directory" in str(
+        error.value)
+    assert afile.read_text() == ""
 
 
 @pytest.fixture

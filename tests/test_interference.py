@@ -322,7 +322,7 @@ def test_scenario_tables_reproduce_direct_decomposition(lattice, cross_gaussian)
             assert tabled == pytest.approx(direct, rel=1e-9)
 
 
-def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian):
+def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian, fo_columns):
     scenario, (path_gains, tap_gains, tap_delays) = build_scenario(4, seed=78)
     victim = scenario.links[0]
     aggressors = scenario.links[1:]
@@ -332,8 +332,8 @@ def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian):
     per_aggressor = split_of(scenario.links, row, cross_gaussian)[2]
     # Own energies from the block itself: the zero-delay term on the
     # reference subcarrier is the signal, every other term self-interference.
-    own = np.abs(cross_gaussian.convolved_block(
-        path_gains[0, 0], tap_gains[0, 0], tap_delays, 0.0, 0)) ** 2
+    own = np.abs(fo_columns(cross_gaussian, cross_gaussian.convolved_full(
+        path_gains[0, 0], tap_gains[0, 0], tap_delays, 0.0), 0)) ** 2
     signal = own[lattice.num_symbols - 1, cross_gaussian.reference_subcarrier]
     assert e_signal == pytest.approx(signal, rel=1e-12)
     assert e_self == pytest.approx(own.sum() - signal, rel=1e-9)

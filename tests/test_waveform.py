@@ -321,7 +321,7 @@ def test_iota_stays_close_to_gaussian_away_from_lattice_points(lattice):
 
 
 # A pair's channel is (path_gain, tap_gains, tap_delays), the arguments
-# ``convolved_full`` and ``convolved_block`` take ahead of the delay.
+# ``convolved_full`` takes ahead of the delay and ``own_energies`` alone.
 
 
 def unit_tap():
@@ -335,11 +335,13 @@ def cci_energy_profile(cross, channel, rel_delay):
                                      [rel_delay])[0]
 
 
-def test_cross_ambiguity_block_matches_direct_values(cross_gaussian, gaussian_02, lattice):
+def test_cross_ambiguity_block_matches_direct_values(cross_gaussian, gaussian_02, lattice,
+                                                     fo_columns):
     # Columns are indexed delta_n + n0; delta_n = 0 and -1 carry |A| of about
     # 0.14 and 0.02 here, so a wrong column or a wrong twist cannot hide
     # below the tolerance.
-    block = cross_gaussian.convolved_block(*unit_tap(), 0.37 * lattice.tau0, 3)
+    full = cross_gaussian.convolved_full(*unit_tap(), 0.37 * lattice.tau0)
+    block = fo_columns(cross_gaussian, full, 3)
     n0 = cross_gaussian.reference_subcarrier
     assert n0 == 6
     for delta_n in (0, -1):
@@ -350,8 +352,8 @@ def test_cross_ambiguity_block_matches_direct_values(cross_gaussian, gaussian_02
         assert abs(block[-2 + 12 - 1, delta_n + n0] - direct) < 1e-5
 
 
-def test_cross_ambiguity_block_vanishes_beyond_combined_span(cross_gaussian):
-    block = cross_gaussian.convolved_block(*unit_tap(), 0.0, 0)
+def test_cross_ambiguity_block_vanishes_beyond_combined_span(cross_gaussian, fo_columns):
+    block = fo_columns(cross_gaussian, cross_gaussian.convolved_full(*unit_tap(), 0.0), 0)
     # Strictly beyond: the lag at exactly max_lag still reads a spline knot.
     beyond = np.abs(cross_gaussian.delta_l) > cross_gaussian.max_lag
     assert beyond.any()
@@ -359,12 +361,14 @@ def test_cross_ambiguity_block_vanishes_beyond_combined_span(cross_gaussian):
     assert abs(block[12 - 1, cross_gaussian.reference_subcarrier]) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_cci_profile_columns_match_single_offset_energies(cross_gaussian, rng):
+def test_cci_profile_columns_match_single_offset_energies(cross_gaussian, rng,
+                                                         fo_columns):
     realization = (0.5, (1.0 + 0j,), (0.0,))
     delay = 0.42 * cross_gaussian.lattice.tau0
     profile = cci_energy_profile(cross_gaussian, realization, delay)
+    full = cross_gaussian.convolved_full(*realization, delay)
     for qdiff in (-7, -3, 0, 2, 7):
-        block = cross_gaussian.convolved_block(*realization, delay, qdiff)
+        block = fo_columns(cross_gaussian, full, qdiff)
         single = float(np.sum(np.abs(block) ** 2))
         assert profile[qdiff + 8 - 1] == pytest.approx(single, rel=1e-12)
 
@@ -668,21 +672,19 @@ def test_no_pairs_give_an_empty_profile_table(cross_gaussian):
     assert profiles.dtype == float
 
 
-def test_convolved_block_reads_the_columns_of_its_fo_difference(cross_gaussian):
+def test_convolved_block_reads_the_columns_of_its_fo_difference(cross_gaussian,
+                                                                fo_columns):
+    # The columns the evaluator reads for one FO difference (own energies at
+    # qdiff 0, every CCI profile) are the block the tests read.
     realization = epa_realization(8)
     rel_delay = 0.3 * cross_gaussian.lattice.tau0
     full = cross_gaussian.convolved_full(*realization, rel_delay)
     q = cross_gaussian.fo_quantum
+    assert np.array_equal(cross_gaussian._profile_columns, profile_columns(cross_gaussian))
     for qdiff in range(-(q - 1), q):
         assert np.array_equal(
-            cross_gaussian.convolved_block(*realization, rel_delay, qdiff),
-            full[:, profile_columns(cross_gaussian)[qdiff + q - 1]])
-
-
-@pytest.mark.parametrize("qdiff", [-8, 8, 15, -100])
-def test_convolved_block_rejects_an_fo_difference_off_the_grid(cross_gaussian, qdiff):
-    with pytest.raises(ConfigError, match="outside the quantized grid"):
-        cross_gaussian.convolved_block(*unit_tap(), 0.0, qdiff)
+            full[:, cross_gaussian._profile_columns[qdiff + q - 1]],
+            fo_columns(cross_gaussian, full, qdiff))
 
 
 # ---------------------------------------------------------------------------
