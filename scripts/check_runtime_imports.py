@@ -30,7 +30,7 @@ def exercise_policy_layer(out_dir: Path) -> None:
                               filters=("gaussian",), aggressor_grid=(1, 2),
                               num_drops=2, qtable_path=str(out_dir / "policy.npz"),
                               train_overrides={"episodes": 2, "ensemble": 1})
-    train_policy(config, 2).save(config.qtable_path)
+    train_policy(config, 2, config.qtable_path)
     loaded = potsim.QTable.load(config.qtable_path)
     for count in (1, 2):
         loaded.fo_assignment(count)

@@ -1,7 +1,9 @@
-"""Command line front end: run experiments, train policies, export surfaces.
+"""Command line front end: run experiments (ambiguity surfaces included,
+as an ``ambiguity_surface`` config) and train policies.
 
-Exit codes: 0 success, 2 invalid configuration or arguments, 3 missing
-artifact, 4 training finished without convergence (outputs still written).
+Exit codes: 0 success, 2 invalid configuration or arguments (a filter that
+cannot be built included), 3 missing artifact, 4 training finished without
+convergence (outputs still written).
 """
 
 import argparse
@@ -10,13 +12,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import (ConfigError, MissingArtifactError, ParameterError,
-                     PolicyUnavailableError)
-from .experiments import (ExperimentConfig, check_under_directory,
-                          export_ambiguity_surface, run, train_policy,
-                          write_surface_csv)
+from .errors import (ConfigError, DegenerateFilterError, MissingArtifactError,
+                     ParameterError, PolicyUnavailableError)
+from .experiments import ExperimentConfig, run, train_policy
 from .qlearning import artifact_path
-from .waveform import FILTER_FAMILIES, filter_factory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,14 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="JSON config for geometry/filter defaults")
     p_train.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
-
-    p_amb = sub.add_parser("ambiguity", help="export an ambiguity surface")
-    p_amb.add_argument("--filter", required=True, choices=FILTER_FAMILIES)
-    p_amb.add_argument("--param", type=float, required=True,
-                       help="dispersion or roll-off of the filter")
-    p_amb.add_argument("--out", required=True, help="CSV output path")
-    p_amb.add_argument("--resolution", type=int, default=61)
-    p_amb.add_argument("--extent", type=float, default=3.0)
     return parser
 
 
@@ -99,12 +90,7 @@ def _cmd_train(args) -> int:
     if args.s_max < 1:
         raise ConfigError("--s-max must be at least 1")
     out = artifact_path(args.out)
-    if out.is_dir():
-        raise ConfigError(f"--out {out} is a directory")
-    check_under_directory(out.parent, "--out")
-    table = train_policy(config, args.s_max)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    table.save(out)
+    table = train_policy(config, args.s_max, out)
     not_converged = table.not_converged_counts()
     print(f"wrote {out} (counts 1..{args.s_max})")
     if not_converged:
@@ -114,29 +100,16 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ambiguity(args) -> int:
-    pulse = filter_factory(args.filter, args.param)
-    tau_grid, nu_grid, magnitude = export_ambiguity_surface(
-        pulse, args.resolution, args.extent)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    note = f"filter={args.filter} param={args.param!r}"
-    write_surface_csv(out, tau_grid, nu_grid, magnitude, note)
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"run": _cmd_run, "train": _cmd_train,
-                "ambiguity": _cmd_ambiguity}
+    handlers = {"run": _cmd_run, "train": _cmd_train}
     try:
         return handlers[args.command](args)
     except (MissingArtifactError, PolicyUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, DegenerateFilterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -284,18 +284,28 @@ def check_under_directory(path: Path, name: str) -> None:
         raise ConfigError(f"{name}: {existing} is not a directory")
 
 
-def train_policy(config: ExperimentConfig, s_max: int) -> QTable:
-    """Train FO tables for counts 1..s_max on drops of ``config``.
+def train_policy(config: ExperimentConfig, s_max: int, path) -> QTable:
+    """Train FO tables for counts 1..s_max on drops of ``config`` and save
+    them as the artifact ``path`` (``artifact_path``).
 
     Drops are scored with the first configured filter, under
-    ``config.train_overrides`` and the config seed.
+    ``config.train_overrides`` and the config seed. ConfigError, before any
+    training, when the artifact path is a directory or lies under a regular
+    file.
     """
+    path = artifact_path(path)
+    if path.is_dir():
+        raise ConfigError(f"Q-table path {path} is a directory")
+    check_under_directory(path.parent, f"Q-table path {path}")
     hyperparams = Hyperparams(**config.train_overrides)
     tx = config.pulse(config.filters[0])
     cross_amb = CrossAmbiguity(tx, tx, config.lattice,
                                fo_quantum=config.fo_quantum)
-    return train(scenario_family(config, cross_amb), s_max, hyperparams,
-                 rng_seed=config.seed)
+    table = train(scenario_family(config, cross_amb), s_max, hyperparams,
+                  rng_seed=config.seed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    table.save(path)
+    return table
 
 
 def required_s_max(config: ExperimentConfig) -> int:
@@ -318,11 +328,7 @@ def load_or_train_policy(config: ExperimentConfig, out_dir: Path):
         return table, path, False
     if not config.train_if_missing:
         raise MissingArtifactError(f"no Q-table artifact at {path}")
-    check_under_directory(path.parent, f"Q-table path {path}")
-    table = train_policy(config, required_s_max(config))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    table.save(path)
-    return table, path, True
+    return train_policy(config, required_s_max(config), path), path, True
 
 
 def _sweep(config: ExperimentConfig, policy) -> list:
@@ -409,8 +415,9 @@ def export_ambiguity_surface(pulse, grid_resolution: int = 61,
     Offsets are in lattice units: tau in tau0, nu in nu0. Returns
     (tau_grid, nu_grid, magnitude[len(tau), len(nu)]).
     """
-    if grid_resolution < 3 or extent <= 0:
-        raise ParameterError("surface grid must have extent > 0, >= 3 points")
+    if grid_resolution < 3 or not 0 < extent < math.inf:
+        raise ParameterError("surface grid must have a finite extent > 0, "
+                             ">= 3 points")
     tau_grid = np.linspace(-extent, extent, grid_resolution)
     nu_grid = np.linspace(-extent, extent, grid_resolution)
     rate = pulse.sample_rate
@@ -433,9 +440,11 @@ def write_surface_csv(path: Path, tau_grid, nu_grid, magnitude,
 
 
 def _surface_outputs(config: ExperimentConfig, out_dir: Path) -> dict:
+    # Every pulse is built before the first file is written, so a filter
+    # that cannot be built leaves no surface behind.
+    pulses = {family: config.pulse(family) for family in config.filters}
     outputs = {}
-    for family in config.filters:
-        pulse = config.pulse(family)
+    for family, pulse in pulses.items():
         tau_grid, nu_grid, magnitude = export_ambiguity_surface(
             pulse, config.surface_resolution, config.surface_extent,
             density=config.lattice_density)

@@ -142,10 +142,6 @@ class EnsembleEvaluator:
         self._qdiff_zero = np.ascontiguousarray((np.arange(
             ensemble * links * links).reshape(ensemble, links, links) * window
             + self.fo_quantum - 1).transpose(1, 0, 2))
-        # CCI entries are non-negative, so a positive self-plus-noise floor
-        # on every link rules out a zero denominator for any state; only
-        # otherwise does a query need to silence the divide warning.
-        self._may_divide_by_zero = not np.all(self._e_self + self._noise > 0)
         # The table the row-by-row route edits, and the assignment it holds
         # (none yet, so the first query gathers it whole).
         self._rows = np.empty(self._qdiff_zero.shape)
@@ -176,10 +172,9 @@ class EnsembleEvaluator:
             qdiffs = assignments[:, :, None] - assignments[:, None, :]
             gathered = self._flat_cci.take(self._qdiff_zero + qdiffs[:, :, None, :])
             e_oi = np.add.reduce(gathered, axis=1)
-        if self._may_divide_by_zero:
-            with np.errstate(divide="ignore"):
-                ratio = self._e_signal / (self._e_self + e_oi + self._noise)
-        else:
+        # A link with no self-interference, noise or CCI has a zero
+        # denominator: its capacity is infinite, without a warning.
+        with np.errstate(divide="ignore"):
             ratio = self._e_signal / (self._e_self + e_oi + self._noise)
         per_drop = np.log2(1.0 + ratio).sum(axis=2)
         # sum / size is the arithmetic of ndarray.mean without its overhead.

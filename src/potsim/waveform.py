@@ -60,8 +60,8 @@ class LatticeConfig:
     num_symbols: int
 
     def __post_init__(self):
-        if self.tau0 <= 0 or self.nu0 <= 0:
-            raise ParameterError("lattice spacings must be positive")
+        if not (0 < self.tau0 < math.inf and 0 < self.nu0 < math.inf):
+            raise ParameterError("lattice spacings must be positive and finite")
         if self.num_subcarriers < 1 or self.num_symbols < 1:
             raise ParameterError("lattice dimensions must be at least 1")
 
@@ -74,9 +74,9 @@ class LatticeConfig:
     def for_bandwidth(cls, bandwidth: float, num_subcarriers: int,
                       num_symbols: int, density: float = 1.0) -> "LatticeConfig":
         """Build a lattice whose N subcarriers exactly fill ``bandwidth``."""
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise ParameterError("bandwidth must be positive")
-        if density <= 0:
+        if not density > 0:
             raise ParameterError("lattice density must be positive")
         nu0 = bandwidth / num_subcarriers
         return cls(tau0=density / nu0, nu0=nu0,
@@ -105,7 +105,7 @@ class PrototypeFilter:
         if len(self.samples) != expected:
             raise ConfigError("sample count does not match span * sample_rate")
         energy = np.sum(self.samples ** 2) / self.sample_rate
-        if abs(energy - 1.0) > 1e-9:
+        if not abs(energy - 1.0) <= 1e-9:
             raise ConfigError(f"filter energy {energy!r} is not 1")
         self.samples.setflags(write=False)
 
@@ -249,9 +249,9 @@ def _sample_count(span: float, sample_rate: int) -> int:
 
 
 def _validate_pulse_args(sample_rate: int, span: float, min_span: float):
-    if int(sample_rate) != sample_rate or sample_rate < 8:
+    if not 8 <= sample_rate < math.inf or int(sample_rate) != sample_rate:
         raise ParameterError("sample_rate must be an integer of at least 8")
-    if span < min_span:
+    if not min_span <= span < math.inf:
         raise ParameterError(f"span must be at least {min_span} tau0")
 
 
@@ -274,8 +274,8 @@ def make_gaussian(dispersion: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     isotropic, smaller rho widens the pulse in time and narrows it in
     frequency.
     """
-    if dispersion <= 0:
-        raise ParameterError("dispersion must be positive")
+    if not 0 < dispersion < math.inf:
+        raise ParameterError("dispersion must be positive and finite")
     _validate_pulse_args(sample_rate, span, 4.0)
     u = _pulse_grid(span, sample_rate)
     raw = (2.0 * dispersion) ** 0.25 * np.exp(-np.pi * dispersion * u ** 2)
@@ -327,10 +327,10 @@ def make_iota(dispersion: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     shifts). Verified by the lattice orthogonality tests rather than by a
     reference sample sequence.
     """
-    if dispersion <= 0:
-        raise ParameterError("dispersion must be positive")
-    if density <= 0:
-        raise ParameterError("lattice density must be positive")
+    if not 0 < dispersion < math.inf:
+        raise ParameterError("dispersion must be positive and finite")
+    if not 0 < density < math.inf:
+        raise ParameterError("lattice density must be positive and finite")
     _validate_pulse_args(sample_rate, span, 4.0)
     rate = int(sample_rate)
 

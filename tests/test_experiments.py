@@ -592,19 +592,20 @@ def test_cli_run_with_a_directory_for_its_policy_exits_2(tmp_path, capsys):
 def test_cli_train_to_a_directory_exits_2_before_training(tmp_path, capsys,
                                                            monkeypatch, out):
     (tmp_path / "policy.npz").mkdir()
-    monkeypatch.setattr(potsim.cli, "train_policy", lambda *args: pytest.fail(
+    monkeypatch.setattr(potsim.experiments, "train", lambda *_, **__: pytest.fail(
         "trained although --out is a directory"))
     path = write_config(tmp_path, quick_config())
     assert main(["train", "--s-max", "2", "--out", str(tmp_path / out),
                  "--config", str(path)]) == 2
-    assert f"--out {tmp_path / 'policy.npz'} is a directory" in capsys.readouterr().err
+    assert (f"Q-table path {tmp_path / 'policy.npz'} is a directory"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("out", ["afile/policy.npz", "afile/deeper/policy"])
 def test_cli_train_under_a_regular_file_exits_2_before_training(tmp_path, capsys,
                                                                  monkeypatch, out):
     (tmp_path / "afile").write_text("")
-    monkeypatch.setattr(potsim.cli, "train_policy", lambda *args: pytest.fail(
+    monkeypatch.setattr(potsim.experiments, "train", lambda *_, **__: pytest.fail(
         "trained although --out lies under a regular file"))
     path = write_config(tmp_path, quick_config())
     assert main(["train", "--s-max", "2", "--out", str(tmp_path / out),
@@ -646,7 +647,7 @@ def policy_under_a_file(tmp_path, monkeypatch):
     file; training fails the test. Once, every count was trained before
     mkdir raised FileExistsError."""
     (tmp_path / "qfile").write_text("")
-    monkeypatch.setattr(potsim.experiments, "train_policy", lambda *args: pytest.fail(
+    monkeypatch.setattr(potsim.experiments, "train", lambda *_, **__: pytest.fail(
         "trained although the policy path lies under a regular file"))
     return quick_config(qtable_path=str(tmp_path / "qfile" / "policy.npz"))
 
@@ -666,14 +667,67 @@ def test_cli_run_with_its_policy_under_a_regular_file_exits_2_before_training(
     assert f"{tmp_path / 'qfile'} is not a directory" in capsys.readouterr().err
 
 
-def test_cli_ambiguity_export(tmp_path):
-    out = tmp_path / "surface.csv"
-    code = main(["ambiguity", "--filter", "gaussian", "--param", "1.0",
-                 "--out", str(out), "--resolution", "21"])
-    assert code == 0
-    assert out.exists()
-    assert main(["ambiguity", "--filter", "gaussian", "--param", "0",
-                 "--out", str(out)]) == 2
+def test_cli_run_exports_an_ambiguity_surface(tmp_path):
+    config = ExperimentConfig(experiment="ambiguity_surface",
+                              filters=("gaussian",), filter_param=1.0,
+                              surface_resolution=21)
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "surface_gaussian.csv").exists()
+    path.write_text(json.dumps({**config.to_dict(), "filter_param": 0.0}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+
+
+def test_the_cli_has_no_ambiguity_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["ambiguity", "--filter", "iota", "--param", "0.2",
+              "--out", "surface.csv"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'ambiguity'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields,message", [
+    pytest.param({"filter_param": math.nan}, "filter_param must be a finite number",
+                 id="nan"),
+    pytest.param({"filters": ["iota"], "filter_param": 1000},
+                 "periodized energy vanishes", id="degenerate-iota"),
+    pytest.param({"filter_param": 1000}, "roll_off must lie in (0, 1]",
+                 id="rrc-after-gaussian")])
+def test_cli_run_of_a_filter_that_cannot_be_built_exits_2_writing_no_file(
+        tmp_path, capsys, fields, message):
+    # The IOTA case once exited 1 with a DegenerateFilterError traceback.
+    # In the last, the Gaussian builds and RRC does not: the Gaussian's
+    # surface was once written before the run failed.
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"experiment": "ambiguity_surface", **fields}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+#: sha256 of each surface CSV body below its comment line, from ``potsim
+#: run`` of ``{"experiment": "ambiguity_surface"}`` (every filter, default
+#: parameter and grid). The bodies equal those the former ``potsim
+#: ambiguity --param 0.2`` wrote.
+PINNED_SURFACE_SHA256 = {
+    "gaussian": "4574c721bb21e6022e40c09f8c8d199afb3b3419f919045b3a1178dffc3bf805",
+    "rrc": "2a0997c93fcbb0779e9061a640325adf40fb8fa876b347f018df9298e33807be",
+    "iota": "03c1068d7529481c5d3469af951d4ece18a657490455076a6378ff2826f6cf30",
+}
+
+
+def test_default_surfaces_are_pinned(tmp_path):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"experiment": "ambiguity_surface"}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    config_hash = ExperimentConfig(experiment="ambiguity_surface").config_hash()
+    for family, digest in PINNED_SURFACE_SHA256.items():
+        comment, body = (tmp_path / "out" / f"surface_{family}.csv").read_bytes(
+            ).split(b"\n", 1)
+        assert comment.decode() == (f"# config_hash={config_hash} "
+                                    f"filter={family} param=0.2")
+        assert hashlib.sha256(body).hexdigest() == digest, family
 
 
 # ---------------------------------------------------------------------------

@@ -325,13 +325,13 @@ def test_the_overflow_rule_reads_only_the_first_prescribed_offset():
 
 
 @pytest.fixture(scope="module")
-def policy_to_fifty():
+def policy_to_fifty(tmp_path_factory):
     """A policy trained for counts 1..50 on a token budget: what it
     prescribes does not matter here, only that a trained table decodes it."""
     config = ExperimentConfig(
         experiment="capacity_vs_aggressors", seed=3,
         train_overrides={"episodes": 2, "ensemble": 1, "steps_per_episode": 4})
-    return train_policy(config, 50)
+    return train_policy(config, 50, tmp_path_factory.mktemp("policy") / "policy")
 
 
 @pytest.mark.parametrize("trained", [True, False])

@@ -27,6 +27,7 @@ from potsim import (
     make_iota,
     make_rrc,
 )
+from potsim.experiments import export_ambiguity_surface
 from potsim.waveform import _NotAKnotSpline, rrc_time_response
 
 
@@ -166,6 +167,44 @@ def test_lattice_rejects_nonpositive_parameters():
         LatticeConfig(tau0=0.0, nu0=1.0, num_subcarriers=4, num_symbols=4)
     with pytest.raises(ParameterError):
         LatticeConfig(tau0=1.0, nu0=1.0, num_subcarriers=0, num_symbols=4)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build,error", [
+    pytest.param(lambda: make_gaussian(NAN), ParameterError, id="gaussian-nan"),
+    pytest.param(lambda: make_gaussian(INF), ParameterError, id="gaussian-inf"),
+    pytest.param(lambda: make_iota(NAN), ParameterError, id="iota-nan"),
+    pytest.param(lambda: make_iota(0.2, density=NAN), ParameterError,
+                 id="iota-density-nan"),
+    pytest.param(lambda: make_gaussian(0.2, span=NAN), ParameterError,
+                 id="span-nan"),
+    pytest.param(lambda: make_gaussian(0.2, sample_rate=NAN), ParameterError,
+                 id="sample-rate-nan"),
+    pytest.param(lambda: potsim.PrototypeFilter("gaussian", 0.2, np.full(128, NAN),
+                                                16, 8.0),
+                 ConfigError, id="samples-nan"),
+    pytest.param(lambda: export_ambiguity_surface(make_gaussian(0.2), 5, NAN),
+                 ParameterError, id="surface-extent-nan"),
+    pytest.param(lambda: export_ambiguity_surface(make_gaussian(0.2), 5, INF),
+                 ParameterError, id="surface-extent-inf"),
+    pytest.param(lambda: LatticeConfig(tau0=NAN, nu0=1.0, num_subcarriers=4,
+                                       num_symbols=4),
+                 ParameterError, id="lattice-tau0-nan"),
+    pytest.param(lambda: LatticeConfig(tau0=1.0, nu0=INF, num_subcarriers=4,
+                                       num_symbols=4),
+                 ParameterError, id="lattice-nu0-inf"),
+    pytest.param(lambda: LatticeConfig.for_bandwidth(NAN, 12, 12), ParameterError,
+                 id="bandwidth-nan"),
+    pytest.param(lambda: LatticeConfig.for_bandwidth(200e3, 12, 12, density=NAN),
+                 ParameterError, id="lattice-density-nan"),
+])
+def test_non_finite_numbers_are_rejected(build, error):
+    # Each check once read ``x <= 0`` or ``abs(...) > tol``, which NaN
+    # passes: the builders returned all-NaN pulses and grids.
+    with pytest.raises(error):
+        build()
 
 
 # ---------------------------------------------------------------------------
