@@ -462,11 +462,26 @@ def run(config: ExperimentConfig, out_dir) -> dict:
 
     Returns the summary dict; its ``qtable.trained_now`` and
     ``qtable.not_converged_counts`` fields let callers distinguish a clean
-    run from one that had to train a policy that did not converge.
+    run from one that had to train a policy that did not converge. A run
+    that fails before it writes a file removes the directories it created.
     """
     out_dir = Path(out_dir)
     check_under_directory(out_dir, f"output directory {out_dir}")
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return _run_into(config, out_dir)
+    except BaseException:
+        # Deepest first; one that holds a file stays, and so do its parents.
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:
+                break
+        raise
+
+
+def _run_into(config: ExperimentConfig, out_dir: Path) -> dict:
     config_hash = config.config_hash()
     summary = {
         "config": config.to_dict(),

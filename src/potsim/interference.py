@@ -10,7 +10,6 @@ without cross terms. ``link_metric`` scores one sweep link from its split;
 """
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -148,19 +147,18 @@ class EnsembleEvaluator:
         self._rows_at = np.full(links, -1)
 
     def mean_sum_capacity(self, state) -> float:
-        """Sum capacity of the victim and its aggressors at ``state``,
-        averaged over the drops."""
-        return self._mean_sum_capacities([state])[0]
+        """Sum capacity of the victim and its aggressors at ``state``, a
+        sequence of one FO index per aggressor, averaged over the drops."""
+        return self._mean_sum_capacities(np.array([state], dtype=np.intp))[0]
 
-    def _mean_sum_capacities(self, states) -> list:
-        """``mean_sum_capacity`` of every state, from one query."""
-        if any(len(state) != self.num_aggressors for state in states):
+    def _mean_sum_capacities(self, states: np.ndarray) -> list:
+        """``mean_sum_capacity`` of every row of the integer (states,
+        aggressors) array ``states``, from one query."""
+        if states.ndim != 2 or states.shape[1] != self.num_aggressors:
             raise ConfigError("state length must equal the aggressor count")
         # One row per state: the victim's zero FO, then the aggressors'.
         assignments = np.zeros((len(states), self.num_aggressors + 1), dtype=np.intp)
-        assignments[:, 1:] = np.fromiter(
-            chain.from_iterable(states), dtype=np.intp,
-            count=len(states) * self.num_aggressors).reshape(assignments[:, 1:].shape)
+        assignments[:, 1:] = states
         # Off the grid, the flat take would read a neighbouring cell instead
         # of failing.
         if self.num_aggressors and not (

@@ -2,11 +2,14 @@
 
 For each aggressor count S the trainer runs epsilon-greedy episodes on the
 state space of aggressor FO tuples, rewarding steps by the scaled change in
-ensemble-averaged network sum capacity. The resulting per-count tables decode
-into FO prescriptions that the entry protocol hands to arriving links.
+ensemble-averaged network sum capacity. The walk works on a sparse table:
+byte-string states, and rows that hold only the Q-values it wrote. Of that
+table a trained ``QTable`` keeps the dense rows its decode reads, which turn
+into the FO prescriptions the entry protocol hands to arriving links.
 """
 
 import json
+import math
 import os
 import zipfile
 from dataclasses import dataclass, field, asdict
@@ -310,10 +313,65 @@ def _check_header(header: dict) -> None:
             raise ConfigError(f"Q-table artifact {name} must be a JSON object")
 
 
-def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
-                     rng: np.random.Generator) -> bool:
-    """Epsilon-greedy episodes from the all-zero state; True once an
-    episode's largest update falls below the tolerance.
+def _key_dtype(fo_quantum: int) -> np.dtype:
+    """Dtype of one FO index in a walk's state key: the narrowest
+    little-endian unsigned integer that holds Q - 1 (one byte up to Q = 256)."""
+    width = 1
+    while fo_quantum - 1 >= 256 ** width:
+        width *= 2
+    return np.dtype(f"<u{width}")
+
+
+def _step_key(key: bytes, action: int, width: int, fo_quantum: int) -> bytes:
+    """``QTable.action_effect`` on a state key of ``width`` bytes per link."""
+    if action == 0:
+        return key
+    link, parity = divmod(action - 1, 2)
+    at = link * width
+    index = int.from_bytes(key[at:at + width], "little") + (1 if parity == 0 else -1)
+    return (key[:at] + (index % fo_quantum).to_bytes(width, "little")
+            + key[at + width:])
+
+
+def _row_max(row: dict, num_actions: int) -> tuple:
+    """(``np.max``, ``np.argmax``) of the dense row of ``num_actions``
+    values that ``row`` stands for, where an action never written reads 0.0.
+
+    The argmax is the first maximum, +0.0 and -0.0 being equal, or the
+    first NaN when the row holds one, whose max is then NaN. The max is the
+    argmax's value, so its zero may carry the other sign than ``np.max``'s;
+    the walk adds it to a reward, which is never -0.0, so no Q-value
+    depends on that sign.
+    """
+    if not row:
+        return 0.0, 0
+    if len(row) < num_actions:
+        best, first = 0.0, 0
+        while first in row:
+            first += 1
+    else:
+        best, first = -math.inf, num_actions
+    nan = None
+    for action, value in row.items():
+        if value > best or (value == best and action < first):
+            best, first = value, action
+        elif value != value and (nan is None or action < nan):
+            nan = action
+    return (best, first) if nan is None else (row[nan], nan)
+
+
+def _train_one_count(hp: Hyperparams, count: int, evaluator: EnsembleEvaluator,
+                     rng: np.random.Generator) -> tuple:
+    """Epsilon-greedy episodes from the all-zero state over a sparse table:
+    (rows, converged), converged once an episode's largest update falls
+    below the tolerance.
+
+    ``rows`` maps each state the walk touched, in the order it first did,
+    to its row: a dict from action index to the last value written there,
+    an action never written reading 0.0 (``_row_max``). A state is a
+    ``bytes`` key of one ``_key_dtype`` integer per aggressor, so a row
+    costs a few hundred bytes where a dense row of 2S + 1 floats under a
+    tuple key cost 1.4 kB at S = 50, and the walk writes one value per step.
 
     A step's update waits until its row is read: each step records
     (row, action, state, next state, next row), and a flush evaluates the
@@ -321,31 +379,34 @@ def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
     then applies the updates in step order. The walk flushes at the end of
     every episode and before a greedy step reads a row with a pending update,
     so every value, and every row created, is the one a step-by-step update
-    gives.
+    of the dense table gives.
     """
-    hp = table.hyperparams
-    steps = hp.steps(table.fo_quantum)
-    num_actions = table.num_actions(count)
-    entry = (0,) * count
-    capacity = {entry: evaluator.mean_sum_capacity(entry)}
+    steps = hp.steps(evaluator.fo_quantum)
+    num_actions = 2 * count + 1
+    dtype = _key_dtype(evaluator.fo_quantum)
+    step_key = partial(_step_key, width=dtype.itemsize, fo_quantum=evaluator.fo_quantum)
+    entry = bytes(count * dtype.itemsize)
+    capacity = {entry: evaluator.mean_sum_capacity((0,) * count)}
+    rows = {}
     # Rows with a pending update are kept by identity: an int hashes faster
-    # than a state tuple.
+    # than a state key.
     pending, pending_rows = [], set()
 
     def flush(sweep_delta):
         missing = list(dict.fromkeys(next_state for *_, next_state, _ in pending
                                      if next_state not in capacity))
         if missing:
-            capacity.update(zip(missing, evaluator._mean_sum_capacities(missing)))
+            states = np.frombuffer(b"".join(missing), dtype=dtype).reshape(-1, count)
+            capacity.update(zip(missing, evaluator._mean_sum_capacities(states)))
         # Recorded steps are consecutive: each starts where the last ended.
         cap_prev = capacity[pending[0][2]]
-        for values, action, _, next_state, next_values in pending:
+        for row, action, _, next_state, next_row in pending:
             cap_now = capacity[next_state]
             step_reward = reward(cap_now, cap_prev, hp.lambda1)
-            max_next = float(next_values.max())
-            old = float(values[action])
-            new = q_update(old, step_reward, max_next, hp.beta, hp.gamma)
-            values[action] = new
+            old = row.get(action, 0.0)
+            new = q_update(old, step_reward, _row_max(next_row, num_actions)[0],
+                           hp.beta, hp.gamma)
+            row[action] = new
             sweep_delta = max(sweep_delta, abs(new - old))
             cap_prev = cap_now
         pending.clear()
@@ -355,23 +416,48 @@ def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
     for episode in range(hp.episodes):
         eps = hp.epsilon(episode)
         state = entry
+        row = rows.setdefault(entry, {})
         sweep_delta = 0.0
         for _ in range(steps):
-            values = table.values_for(count, state)
             if rng.random() < eps:
                 action = int(rng.integers(num_actions))
             else:
-                if id(values) in pending_rows:
+                if id(row) in pending_rows:
                     sweep_delta = flush(sweep_delta)
-                action = int(values.argmax())
-            next_state = table.action_effect(state, action)
-            pending.append((values, action, state, next_state,
-                            table.values_for(count, next_state)))
-            pending_rows.add(id(values))
-            state = next_state
+                action = _row_max(row, num_actions)[1]
+            next_state = step_key(state, action)
+            next_row = rows.get(next_state)
+            if next_row is None:
+                next_row = rows[next_state] = {}
+            pending.append((row, action, state, next_state, next_row))
+            pending_rows.add(id(row))
+            state, row = next_state, next_row
         if flush(sweep_delta) < hp.tolerance:
-            return True
-    return False
+            return rows, True
+    return rows, False
+
+
+class _DenseOnRead:
+    """A walk's sparse rows, read by state tuple as ``QTable`` reads
+    ``per_count[count]`` (``in`` and ``[]``): reading a state fills its dense
+    row in ``kept`` (``QTable.values_for``) with the values the walk wrote,
+    so only the rows the decode reads are ever made dense."""
+
+    def __init__(self, rows: dict, kept: QTable, count: int):
+        self._rows, self._kept, self._count = rows, kept, count
+        self._dtype = _key_dtype(kept.fo_quantum)
+
+    def _key(self, state: tuple) -> bytes:
+        return np.array(state, dtype=self._dtype).tobytes()
+
+    def __contains__(self, state: tuple) -> bool:
+        return self._key(state) in self._rows
+
+    def __getitem__(self, state: tuple) -> np.ndarray:
+        written = self._rows[self._key(state)]
+        values = self._kept.values_for(self._count, state)
+        values[list(written)] = list(written.values())
+        return values
 
 
 def _usable_cpus() -> int:
@@ -386,10 +472,12 @@ def _train_count(scenario_family, hp: Hyperparams, rng_seed: int, count: int):
     drops = [scenario_family(count + 1, np.random.default_rng([rng_seed, count, d]))
              for d in range(hp.ensemble)]
     evaluator = EnsembleEvaluator(drops)
-    table = QTable(fo_quantum=evaluator.fo_quantum, hyperparams=hp, seed=rng_seed)
     walk_rng = np.random.default_rng([rng_seed, count, hp.ensemble])
-    converged = _train_one_count(table, count, evaluator, walk_rng)
-    return table._decode_rows(count), converged, evaluator.fo_quantum
+    rows, converged = _train_one_count(hp, count, evaluator, walk_rng)
+    kept = QTable(fo_quantum=evaluator.fo_quantum, hyperparams=hp, seed=rng_seed)
+    walk = QTable(fo_quantum=evaluator.fo_quantum, hyperparams=hp, seed=rng_seed)
+    walk.per_count[count] = _DenseOnRead(rows, kept, count)
+    return walk._decode_rows(count), converged, evaluator.fo_quantum
 
 
 def _train_counts(train_count, chosen: list) -> dict:
@@ -501,9 +589,12 @@ def train(scenario_family, s_max: int, hyperparams: Hyperparams = None,
     are not seen by the caller. Python 3.12 and later warn when a process
     that already runs threads forks.
 
-    Once a count is trained, its table keeps only the rows ``save`` writes
-    (``QTable._decode_rows``), so memory peaks at one count's working set
-    per worker rather than the sum over all counts.
+    Each count's walk works on a sparse table (``_train_one_count``). Once
+    it ends, only the rows ``save`` writes (``QTable._decode_rows``) are made
+    dense, through ``QTable.values_for``, and kept; so memory peaks at one
+    count's sparse working set per worker, not the sum over all counts, and
+    the table, its convergence flags and its artifact are those a walk over
+    dense rows gives, bit for bit.
     """
     if s_max < 1:
         raise ParameterError("s_max must be at least 1")

@@ -121,7 +121,15 @@ class PrototypeFilter:
         interpolation, which reproduces stored samples exactly at integer
         sample shifts and treats the pulse as zero outside its span.
         """
-        return _resample_shifted(self.time_grid, self.samples, shifts)
+        return _resample_shifted(self._spline, shifts)
+
+    @functools.cached_property
+    def _spline(self) -> "_NotAKnotSpline":
+        """The pulse's spline over its own grid, built on first use."""
+        spline = _NotAKnotSpline(self.time_grid, self.samples)
+        for shared in (spline.c, spline.x, spline._parts):
+            shared.setflags(write=False)
+        return spline
 
 
 def _time_grid(count: int, sample_rate: int) -> np.ndarray:
@@ -129,11 +137,11 @@ def _time_grid(count: int, sample_rate: int) -> np.ndarray:
     return (np.arange(count) - count // 2) / sample_rate
 
 
-def _resample_shifted(grid: np.ndarray, samples: np.ndarray, shifts) -> np.ndarray:
-    """Samples on ``grid`` delayed by ``shifts``, zero outside the grid."""
+def _resample_shifted(spline: "_NotAKnotSpline", shifts) -> np.ndarray:
+    """The spline's samples on its own knots delayed by ``shifts``, zero
+    outside them."""
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    spline = _NotAKnotSpline(grid, samples)
-    points = grid[None, :] - shifts[:, None]
+    points = spline.x[None, :] - shifts[:, None]
     return np.nan_to_num(spline(points), copy=False)
 
 
@@ -464,7 +472,7 @@ def _lag_tables(tx_key: tuple, rx_key: tuple, rate: int,
     # Both pulses lie on one grid (_check_common_grid).
     u = _time_grid(len(rx_samples), rate)
     phases = np.exp(2j * np.pi * np.outer(u, freqs))
-    shifted = _resample_shifted(u, tx_samples, lags)
+    shifted = _resample_shifted(_NotAKnotSpline(u, tx_samples), lags)
     products = shifted * rx_samples[None, :]
     # The spline interpolates the smooth fixed-anchor correlation; the
     # delay-anchored phase exp(-2j pi f lag) is restored analytically

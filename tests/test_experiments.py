@@ -24,6 +24,7 @@ from potsim.experiments import (
     export_ambiguity_surface,
     generate_drop,
     run,
+    train_policy,
 )
 
 FAST_TRAIN = {"episodes": 40, "ensemble": 2, "beta": 1.0, "epsilon_end": 0.3}
@@ -706,6 +707,23 @@ def test_cli_run_of_a_filter_that_cannot_be_built_exits_2_writing_no_file(
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
+def test_a_run_that_fails_before_writing_removes_the_directories_it_made(tmp_path):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"experiment": "ambiguity_surface",
+                                "filters": ["iota"], "filter_param": 1000}))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "new" / "out")]) == 2
+    config = quick_config(qtable_path=str(tmp_path / "absent.npz"),
+                          train_if_missing=False)
+    with pytest.raises(MissingArtifactError):
+        run(config, tmp_path / "sweep")
+    assert list(tmp_path.iterdir()) == [path]
+    # A directory that was there before the run stays.
+    (tmp_path / "kept").mkdir()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "kept")]) == 2
+    assert (tmp_path / "kept").is_dir()
+
+
 #: sha256 of each surface CSV body below its comment line, from ``potsim
 #: run`` of ``{"experiment": "ambiguity_surface"}`` (every filter, default
 #: parameter and grid). The bodies equal those the former ``potsim
@@ -782,6 +800,21 @@ def test_run_path_outputs_are_pinned(tmp_path):
     fresh = f"fresh digests {digests}, prescriptions {prescriptions}"
     assert digests == PINNED_CSV_SHA256, fresh
     assert prescriptions == PINNED_PRESCRIPTIONS, fresh
+
+
+#: sha256 of the artifact the CI's ``potsim train --config train.json --s-max 8
+#: --seed 3`` writes, as the dense training walk wrote it.
+PINNED_CI_POLICY_SHA256 = "734298027f8d2ed11190426b14580387a26f8e4391949a9319a0ef801941a937"
+
+
+def test_the_ci_training_budget_writes_the_pinned_artifact(tmp_path):
+    # Every stored Q-value is in these bytes, so a value that drifts
+    # without flipping a prescription fails here.
+    config = ExperimentConfig(experiment="capacity_vs_aggressors", seed=3,
+                              train_overrides={"episodes": 40, "ensemble": 2})
+    train_policy(config, 8, tmp_path / "policy.npz")
+    digest = hashlib.sha256((tmp_path / "policy.npz").read_bytes()).hexdigest()
+    assert digest == PINNED_CI_POLICY_SHA256
 
 
 #: sha256 of the three-filter sweep's results.csv body and of the policy its

@@ -472,7 +472,7 @@ def test_batch_query_is_bit_identical_to_the_gather_oracle(monkeypatch, route,
             batch = states[start:start + size]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = evaluator._mean_sum_capacities(batch)
+                got = evaluator._mean_sum_capacities(np.array(batch))
             assert got == [take_along_axis_capacity(drops, state)
                            for state in batch]
             capacities += got

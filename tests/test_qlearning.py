@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -330,6 +331,26 @@ def test_artifact_with_extra_rows_loads_and_decodes_the_same(tmp_path):
         assert loaded.fo_assignment(count) == table.fo_assignment(count)
 
 
+def dense_rows(rows, count, fo_quantum):
+    """The walk's sparse rows as dense float64 rows by state tuple, in the
+    walk's order: an action never written holds 0.0."""
+    dtype = qlearning._key_dtype(fo_quantum)
+    dense = {}
+    for key, written in rows.items():
+        values = np.zeros(2 * count + 1)
+        values[list(written)] = list(written.values())
+        dense[tuple(np.frombuffer(key, dtype).tolist())] = values
+    return dense
+
+
+def walk_into(table, count, evaluator, rng):
+    """Run the training walk and put its rows, made dense, in ``table``;
+    True when it converged."""
+    rows, converged = _train_one_count(table.hyperparams, count, evaluator, rng)
+    table.per_count[count] = dense_rows(rows, count, evaluator.fo_quantum)
+    return converged
+
+
 def full_table(family, s_max, hp, rng_seed):
     """Every row the training walk of each count touched: the table ``train``
     builds, on the same drops and streams, before it keeps the decode rows."""
@@ -337,7 +358,7 @@ def full_table(family, s_max, hp, rng_seed):
     for count in range(1, s_max + 1):
         drops = [family(count + 1, np.random.default_rng([rng_seed, count, d]))
                  for d in range(hp.ensemble)]
-        table.converged[count] = _train_one_count(
+        table.converged[count] = walk_into(
             table, count, EnsembleEvaluator(drops),
             np.random.default_rng([rng_seed, count, hp.ensemble]))
     return table
@@ -774,23 +795,23 @@ def step_by_step_train_one_count(table, count, evaluator, rng):
     return False
 
 
-def random_energies(num_links, rng):
+def random_energies(num_links, rng, fo_quantum=Q):
     """Drop energy tables with independent random entries in every cell."""
     return types.SimpleNamespace(
-        fo_quantum=Q,
-        cci=rng.exponential(size=(num_links, num_links, 2 * Q - 1)),
+        fo_quantum=fo_quantum,
+        cci=rng.exponential(size=(num_links, num_links, 2 * fo_quantum - 1)),
         e_signal=rng.exponential(size=num_links),
         e_self=rng.exponential(0.1, size=num_links),
         noise=rng.exponential(0.1, size=num_links))
 
 
-def train_both_ways(count, hp):
+def train_both_ways(count, hp, fo_quantum=Q):
     """(deferred, step-by-step) tables for one count on the same drops."""
     rng = np.random.default_rng([count, hp.ensemble])
-    drops = [random_energies(count + 1, rng) for _ in range(hp.ensemble)]
+    drops = [random_energies(count + 1, rng, fo_quantum) for _ in range(hp.ensemble)]
     tables = []
-    for walk in (_train_one_count, step_by_step_train_one_count):
-        table = QTable(fo_quantum=Q, hyperparams=hp)
+    for walk in (walk_into, step_by_step_train_one_count):
+        table = QTable(fo_quantum=fo_quantum, hyperparams=hp)
         table.converged[count] = walk(table, count, EnsembleEvaluator(drops),
                                       np.random.default_rng(7))
         tables.append(table)
@@ -825,6 +846,41 @@ def test_deferred_updates_stop_at_the_step_by_step_episode(count):
     deferred, step_by_step = train_both_ways(count, hp)
     assert step_by_step.converged == {count: True}
     assert_bit_identical(deferred, step_by_step)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_grid_wider_than_one_byte_trains_the_step_by_step_table(count):
+    # Q = 300 needs two bytes per FO index in a state key; stepping down
+    # from 0 wraps to 299, so the walk meets indices above 255.
+    hp = Hyperparams(ensemble=2, episodes=25, steps_per_episode=60, beta=0.5,
+                     epsilon_end=0.3, gamma=0.95)
+    deferred, step_by_step = train_both_ways(count, hp, fo_quantum=300)
+    assert max(max(state) for state in step_by_step.per_count[count]) > 255
+    assert_bit_identical(deferred, step_by_step)
+
+
+@st.composite
+def sparse_rows(draw):
+    """(row, number of actions): values written at some actions, in any
+    order, from signed zeros, infinities, NaN and all-negative stretches."""
+    num_actions = draw(st.integers(1, 7))
+    written = draw(st.permutations(range(num_actions)))
+    written = written[:draw(st.integers(0, num_actions))]
+    values = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                       st.floats(max_value=-1e-300), st.floats())
+    return {action: draw(values) for action in written}, num_actions
+
+
+@given(sparse_rows())
+@settings(max_examples=500, deadline=None)
+def test_the_sparse_row_max_is_the_dense_rows(row_and_actions):
+    row, num_actions = row_and_actions
+    dense = np.zeros(num_actions)
+    dense[list(row)] = list(row.values())
+    best, first = qlearning._row_max(row, num_actions)
+    assert first == np.argmax(dense)
+    # +0.0 == -0.0; a NaN max is any NaN.
+    assert best == np.max(dense) or (math.isnan(best) and np.isnan(np.max(dense)))
 
 
 def test_tables_trained_on_random_energies_round_trip_through_an_artifact(tmp_path):
