@@ -2,10 +2,10 @@
 
 For each aggressor count S the trainer runs epsilon-greedy episodes on the
 state space of aggressor FO tuples, rewarding steps by the scaled change in
-ensemble-averaged network sum capacity. The walk works on a sparse table:
-byte-string states, and rows that hold only the Q-values it wrote. Of that
-table a trained ``QTable`` keeps the dense rows its decode reads, which turn
-into the FO prescriptions the entry protocol hands to arriving links.
+ensemble-averaged network sum capacity. A ``QTable`` is sparse: byte-string
+states, and rows that hold only the Q-values the walk wrote. A trained table
+keeps the rows its decode reads, which turn into the FO prescriptions the
+entry protocol hands to arriving links.
 """
 
 import json
@@ -95,10 +95,12 @@ def reward(capacity_now: float, capacity_prev: float, lambda1: float) -> float:
 class QTable:
     """Per-aggressor-count state-action value tables.
 
-    per_count maps S to a dict from state tuples (one quantized FO index per
-    aggressor) to a value vector over the 2S + 1 actions: index 0 is the
-    no-op, index 2j + 1 steps link j up by one FO quantum, index 2j + 2 steps
-    it down.
+    per_count maps S to a dict from state keys to rows. A state key is the
+    ``bytes`` of one ``_key_dtype`` integer per aggressor, its quantized FO
+    index, so sorted keys are in state order. A row is a dict from action
+    index to value, where an action never written reads 0.0 (``_row_max``).
+    Of the 2S + 1 actions, index 0 is the no-op, index 2j + 1 steps link j
+    up by one FO quantum, index 2j + 2 steps it down (``_step_key``).
 
     A table that ``train`` returns or ``load`` reads holds, per count, only
     the rows ``fo_assignment`` reads (``_decode_rows``), so it answers every
@@ -116,33 +118,14 @@ class QTable:
         return sorted(count for count in self.per_count
                       if not self.converged.get(count, False))
 
-    def num_actions(self, count: int) -> int:
-        return 2 * count + 1
+    def values_for(self, count: int, state: bytes) -> dict:
+        """Mutable row of a state key, created empty on first touch."""
+        return self.per_count.setdefault(count, {}).setdefault(state, {})
 
-    def action_effect(self, state: tuple, action: int) -> tuple:
-        """State reached from ``state`` by the given action index."""
-        if action == 0:
-            return state
-        link, parity = divmod(action - 1, 2)
-        if link >= len(state):
-            raise ParameterError("action index outside the action space")
-        step = 1 if parity == 0 else -1
-        moved = list(state)
-        moved[link] = (moved[link] + step) % self.fo_quantum
-        return tuple(moved)
-
-    def values_for(self, count: int, state: tuple) -> np.ndarray:
-        """Mutable value vector for a state, created on first touch."""
-        sub = self.per_count.setdefault(count, {})
-        values = sub.get(state)
-        if values is None:
-            values = sub[state] = np.zeros(self.num_actions(count))
-        return values
-
-    def greedy(self, count: int, state: tuple) -> int:
+    def greedy(self, count: int, state: bytes) -> int:
         """Greedy action index: the first maximum of the state's row;
         KeyError when the count or the state has no row."""
-        return int(np.argmax(self.per_count[count][state]))
+        return _row_max(self.per_count[count][state], 2 * count + 1)[1]
 
     def fo_assignment(self, count: int) -> tuple:
         """Decode the trained table into an FO prescription for S aggressors.
@@ -162,17 +145,17 @@ class QTable:
         if not sub:
             raise PolicyUnavailableError(
                 f"policy has no table for aggressor count {count}")
-        visited, absorbed = self._rollout(count)
-        if absorbed is not None:
-            return absorbed
-        # A state with no row carries no evidence; it ranks after every
-        # trained state.
-        return min(visited, key=lambda cand: float(np.max(sub[cand]))
-                   if cand in sub else np.inf)
+        visited, state = self._rollout(count)
+        if state is None:
+            # A state with no row carries no evidence; it ranks after every
+            # trained state.
+            state = min(visited, key=lambda key: _row_max(sub[key], 2 * count + 1)[0]
+                        if key in sub else math.inf)
+        return tuple(np.frombuffer(state, _key_dtype(self.fo_quantum)).tolist())
 
     def _rollout(self, count: int):
-        """The greedy walk ``fo_assignment`` decodes: (visited states in
-        order, the absorbing state or None when the walk cycles, runs out of
+        """The greedy walk ``fo_assignment`` decodes: (visited state keys in
+        order, the absorbing one or None when the walk cycles, runs out of
         steps or stops at a state with no row, which stays last in visited).
 
         On a trained table the walk never stops there: a no-op's value never
@@ -181,7 +164,8 @@ class QTable:
         action created its next state's row.
         """
         sub = self.per_count[count]
-        state = (0,) * count
+        width = _key_dtype(self.fo_quantum).itemsize
+        state = bytes(count * width)
         visited = [state]
         seen = {state}
         absorbed = None
@@ -192,7 +176,7 @@ class QTable:
             if action == 0:
                 absorbed = state
                 break
-            state = self.action_effect(state, action)
+            state = _step_key(state, action, width, self.fo_quantum)
             if state in seen:
                 break
             seen.add(state)
@@ -200,7 +184,7 @@ class QTable:
         return visited, absorbed
 
     def _decode_rows(self, count: int) -> dict:
-        """The rows ``fo_assignment`` reads, in state order: the trained
+        """The rows ``fo_assignment`` reads, in key order: the trained
         states of the greedy walk from the all-zero state (see ``_rollout``).
         """
         sub = self.per_count[count]
@@ -210,8 +194,8 @@ class QTable:
     def save(self, path) -> None:
         """Write only the rows ``fo_assignment`` reads (``_decode_rows``), so
         a loaded table decodes the same: ``header`` (JSON; ``rows`` gives each
-        count's row count), then every row's state and values, in count then
-        state order, flattened into ``states`` and ``values``."""
+        count's row count), then every row's state and dense values, in count
+        then state order, flattened into ``states`` and ``values``."""
         counts = sorted(self.per_count)
         decoded = [self._decode_rows(count) for count in counts]
         header = {"format": ARTIFACT_FORMAT, "version": ARTIFACT_VERSION,
@@ -219,12 +203,17 @@ class QTable:
                   "hyperparams": asdict(self.hyperparams),
                   "converged": {str(k): bool(v) for k, v in self.converged.items()},
                   "counts": counts, "rows": [len(rows) for rows in decoded]}
-        states = [q for rows in decoded for state in rows for q in state]
-        values = [row for rows in decoded for row in rows.values()]
+        keys = b"".join(state for rows in decoded for state in rows)
+        blocks = [np.zeros(0)]
+        for count, rows in zip(counts, decoded):
+            block = np.zeros((len(rows), 2 * count + 1))
+            for dense, row in zip(block, rows.values()):
+                dense[list(row)] = list(row.values())
+            blocks.append(block.ravel())
         np.savez_compressed(
             path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-            states=np.array(states, dtype=np.int64),
-            values=np.concatenate([np.zeros(0), *values], dtype=float))
+            states=np.frombuffer(keys, _key_dtype(self.fo_quantum)).astype(np.int64),
+            values=np.concatenate(blocks))
 
     @classmethod
     def load(cls, path) -> "QTable":
@@ -276,18 +265,28 @@ class QTable:
         if states.size and not 0 <= states.min() <= states.max() < quantum:
             raise ConfigError(f"Q-table artifact states must lie in [0, {quantum})")
         table = cls(fo_quantum=quantum, hyperparams=hyperparams, seed=header["seed"])
-        # tolist() yields Python ints, so keys hash and compare like the
-        # tuples training builds. A count's value block leads the zip, so it
-        # takes only its own states from ``keys``; each row is a view.
-        keys, at = iter(states.tolist()), 0
+        dtype = _key_dtype(quantum)
+        keys = states.astype(dtype).tobytes()
+        # A row holds its entries whose bits are not +0.0: the others read
+        # 0.0 unwritten, and a stored -0.0 saves back as -0.0.
+        widths = np.repeat([2 * count + 1 for count in counts], rows)
+        starts = np.concatenate([[0], np.cumsum(widths, dtype=np.int64)])
+        written = np.flatnonzero(values.view(np.uint64))
+        bounds = np.searchsorted(written, starts).tolist()
+        actions = (written - np.repeat(starts[:-1], np.diff(bounds))).tolist()
+        entries = values[written].tolist()
+        written_rows = (dict(zip(actions[lo:hi], entries[lo:hi]))
+                        for lo, hi in zip(bounds, bounds[1:]))
+        at = 0
         for count, n in zip(counts, rows):
-            block = values[at:at + n * (2 * count + 1)].reshape(n, 2 * count + 1)
-            sub = table.per_count[count] = {
-                state: row for row, state in zip(block, zip(*[keys] * count))}
+            width = count * dtype.itemsize
+            sub = table.per_count[count] = dict(zip(
+                (keys[key:key + width] for key in range(at, at + n * width, width)),
+                written_rows))
             if len(sub) != n:
                 raise ConfigError(f"Q-table artifact states repeat within count {count}")
-            table.converged[count] = bool(header["converged"].get(str(count), False))
-            at += block.size
+            table.converged[count] = header["converged"].get(str(count), False)
+            at += n * width
         return table
 
 
@@ -299,8 +298,8 @@ def _check_header(header: dict) -> None:
         raise ConfigError(f"Q-table artifact header lacks {', '.join(missing)}")
     if not is_integer(header["fo_quantum"]) or header["fo_quantum"] < 1:
         raise ConfigError("Q-table artifact fo_quantum must be a positive integer")
-    if not is_integer(header["seed"]):
-        raise ConfigError("Q-table artifact seed must be an integer")
+    if not is_integer(header["seed"]) or header["seed"] < 0:
+        raise ConfigError("Q-table artifact seed must be a non-negative integer")
     counts, rows = header["counts"], header["rows"]
     if not (isinstance(counts, list) and all(is_integer(c) and c >= 1 for c in counts)
             and counts == sorted(set(counts))):
@@ -311,26 +310,30 @@ def _check_header(header: dict) -> None:
     for name in ("hyperparams", "converged"):
         if not isinstance(header[name], dict):
             raise ConfigError(f"Q-table artifact {name} must be a JSON object")
+    if not all(isinstance(flag, bool) for flag in header["converged"].values()):
+        raise ConfigError("Q-table artifact converged flags must be JSON booleans")
 
 
 def _key_dtype(fo_quantum: int) -> np.dtype:
-    """Dtype of one FO index in a walk's state key: the narrowest
-    little-endian unsigned integer that holds Q - 1 (one byte up to Q = 256)."""
+    """Dtype of one FO index in a state key: the narrowest big-endian
+    unsigned integer that holds Q - 1 (one byte up to Q = 256), so that
+    sorted keys of one count are in state order."""
     width = 1
     while fo_quantum - 1 >= 256 ** width:
         width *= 2
-    return np.dtype(f"<u{width}")
+    return np.dtype(f">u{width}")
 
 
 def _step_key(key: bytes, action: int, width: int, fo_quantum: int) -> bytes:
-    """``QTable.action_effect`` on a state key of ``width`` bytes per link."""
+    """The state key an action leads to from ``key``, of ``width`` bytes per
+    link: action 2j + 1 steps link j up by one FO quantum, 2j + 2 steps it
+    down, modulo Q, and 0 stays."""
     if action == 0:
         return key
     link, parity = divmod(action - 1, 2)
     at = link * width
-    index = int.from_bytes(key[at:at + width], "little") + (1 if parity == 0 else -1)
-    return (key[:at] + (index % fo_quantum).to_bytes(width, "little")
-            + key[at + width:])
+    index = int.from_bytes(key[at:at + width], "big") + (1 if parity == 0 else -1)
+    return key[:at] + (index % fo_quantum).to_bytes(width, "big") + key[at + width:]
 
 
 def _row_max(row: dict, num_actions: int) -> tuple:
@@ -360,18 +363,16 @@ def _row_max(row: dict, num_actions: int) -> tuple:
     return (best, first) if nan is None else (row[nan], nan)
 
 
-def _train_one_count(hp: Hyperparams, count: int, evaluator: EnsembleEvaluator,
-                     rng: np.random.Generator) -> tuple:
-    """Epsilon-greedy episodes from the all-zero state over a sparse table:
-    (rows, converged), converged once an episode's largest update falls
+def _train_one_count(table: QTable, count: int, evaluator: EnsembleEvaluator,
+                     rng: np.random.Generator) -> bool:
+    """Epsilon-greedy episodes from the all-zero state, written into
+    ``table.per_count[count]``: True once an episode's largest update falls
     below the tolerance.
 
-    ``rows`` maps each state the walk touched, in the order it first did,
-    to its row: a dict from action index to the last value written there,
-    an action never written reading 0.0 (``_row_max``). A state is a
-    ``bytes`` key of one ``_key_dtype`` integer per aggressor, so a row
-    costs a few hundred bytes where a dense row of 2S + 1 floats under a
-    tuple key cost 1.4 kB at S = 50, and the walk writes one value per step.
+    Each state the walk touches gets its row through ``QTable.values_for``,
+    in the order it first did, and the walk writes one value per step, so a
+    row costs a few hundred bytes where a dense row of 2S + 1 floats under a
+    tuple key cost 1.4 kB at S = 50.
 
     A step's update waits until its row is read: each step records
     (row, action, state, next state, next row), and a flush evaluates the
@@ -381,13 +382,15 @@ def _train_one_count(hp: Hyperparams, count: int, evaluator: EnsembleEvaluator,
     so every value, and every row created, is the one a step-by-step update
     of the dense table gives.
     """
-    steps = hp.steps(evaluator.fo_quantum)
+    hp = table.hyperparams
+    steps = hp.steps(table.fo_quantum)
     num_actions = 2 * count + 1
-    dtype = _key_dtype(evaluator.fo_quantum)
-    step_key = partial(_step_key, width=dtype.itemsize, fo_quantum=evaluator.fo_quantum)
+    dtype = _key_dtype(table.fo_quantum)
+    step_key = partial(_step_key, width=dtype.itemsize, fo_quantum=table.fo_quantum)
     entry = bytes(count * dtype.itemsize)
     capacity = {entry: evaluator.mean_sum_capacity((0,) * count)}
-    rows = {}
+    entry_row = table.values_for(count, entry)
+    rows = table.per_count[count]
     # Rows with a pending update are kept by identity: an int hashes faster
     # than a state key.
     pending, pending_rows = [], set()
@@ -415,8 +418,7 @@ def _train_one_count(hp: Hyperparams, count: int, evaluator: EnsembleEvaluator,
 
     for episode in range(hp.episodes):
         eps = hp.epsilon(episode)
-        state = entry
-        row = rows.setdefault(entry, {})
+        state, row = entry, entry_row
         sweep_delta = 0.0
         for _ in range(steps):
             if rng.random() < eps:
@@ -428,36 +430,13 @@ def _train_one_count(hp: Hyperparams, count: int, evaluator: EnsembleEvaluator,
             next_state = step_key(state, action)
             next_row = rows.get(next_state)
             if next_row is None:
-                next_row = rows[next_state] = {}
+                next_row = table.values_for(count, next_state)
             pending.append((row, action, state, next_state, next_row))
             pending_rows.add(id(row))
             state, row = next_state, next_row
         if flush(sweep_delta) < hp.tolerance:
-            return rows, True
-    return rows, False
-
-
-class _DenseOnRead:
-    """A walk's sparse rows, read by state tuple as ``QTable`` reads
-    ``per_count[count]`` (``in`` and ``[]``): reading a state fills its dense
-    row in ``kept`` (``QTable.values_for``) with the values the walk wrote,
-    so only the rows the decode reads are ever made dense."""
-
-    def __init__(self, rows: dict, kept: QTable, count: int):
-        self._rows, self._kept, self._count = rows, kept, count
-        self._dtype = _key_dtype(kept.fo_quantum)
-
-    def _key(self, state: tuple) -> bytes:
-        return np.array(state, dtype=self._dtype).tobytes()
-
-    def __contains__(self, state: tuple) -> bool:
-        return self._key(state) in self._rows
-
-    def __getitem__(self, state: tuple) -> np.ndarray:
-        written = self._rows[self._key(state)]
-        values = self._kept.values_for(self._count, state)
-        values[list(written)] = list(written.values())
-        return values
+            return True
+    return False
 
 
 def _usable_cpus() -> int:
@@ -472,12 +451,10 @@ def _train_count(scenario_family, hp: Hyperparams, rng_seed: int, count: int):
     drops = [scenario_family(count + 1, np.random.default_rng([rng_seed, count, d]))
              for d in range(hp.ensemble)]
     evaluator = EnsembleEvaluator(drops)
-    walk_rng = np.random.default_rng([rng_seed, count, hp.ensemble])
-    rows, converged = _train_one_count(hp, count, evaluator, walk_rng)
-    kept = QTable(fo_quantum=evaluator.fo_quantum, hyperparams=hp, seed=rng_seed)
-    walk = QTable(fo_quantum=evaluator.fo_quantum, hyperparams=hp, seed=rng_seed)
-    walk.per_count[count] = _DenseOnRead(rows, kept, count)
-    return walk._decode_rows(count), converged, evaluator.fo_quantum
+    table = QTable(fo_quantum=evaluator.fo_quantum, hyperparams=hp, seed=rng_seed)
+    converged = _train_one_count(table, count, evaluator,
+                                 np.random.default_rng([rng_seed, count, hp.ensemble]))
+    return table._decode_rows(count), converged, evaluator.fo_quantum
 
 
 def _train_counts(train_count, chosen: list) -> dict:
@@ -589,12 +566,11 @@ def train(scenario_family, s_max: int, hyperparams: Hyperparams = None,
     are not seen by the caller. Python 3.12 and later warn when a process
     that already runs threads forks.
 
-    Each count's walk works on a sparse table (``_train_one_count``). Once
-    it ends, only the rows ``save`` writes (``QTable._decode_rows``) are made
-    dense, through ``QTable.values_for``, and kept; so memory peaks at one
-    count's sparse working set per worker, not the sum over all counts, and
-    the table, its convergence flags and its artifact are those a walk over
-    dense rows gives, bit for bit.
+    Each count's walk writes a table of its own (``_train_one_count``).
+    Once it ends, only the rows ``save`` writes (``QTable._decode_rows``) are
+    kept; so memory peaks at one count's working set per worker, not the sum
+    over all counts, and the table, its convergence flags and its artifact
+    are those a walk over dense rows gives, bit for bit.
     """
     if s_max < 1:
         raise ParameterError("s_max must be at least 1")

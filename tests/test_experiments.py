@@ -497,8 +497,8 @@ def test_cli_reports_missing_artifacts(tmp_path):
 
 def test_cli_run_with_an_artifact_missing_a_consulted_count_exits_3(
         tmp_path, capsys):
-    table = QTable(fo_quantum=8)
-    table.per_count[1] = {(0,): np.array([1.0, 0.0, 0.0])}
+    # Count 1's one state (0,) holds a no-op value of 1.0.
+    table = QTable(fo_quantum=8, per_count={1: {bytes(1): {0: 1.0}}})
     artifact = tmp_path / "policy.npz"
     table.save(artifact)
     config = quick_config(aggressor_grid=(2,), train_if_missing=False,
@@ -563,8 +563,7 @@ def test_cli_run_rejects_a_malformed_artifact(tmp_path, capsys):
 
 
 def test_cli_run_rejects_an_artifact_header_without_counts(tmp_path, capsys):
-    table = QTable(fo_quantum=8)
-    table.per_count[1] = {(0,): np.zeros(3)}
+    table = QTable(fo_quantum=8, per_count={1: {bytes(1): {}}})
     artifact = tmp_path / "policy.npz"
     table.save(artifact)
     with np.load(artifact) as data:
@@ -815,6 +814,10 @@ def test_the_ci_training_budget_writes_the_pinned_artifact(tmp_path):
     train_policy(config, 8, tmp_path / "policy.npz")
     digest = hashlib.sha256((tmp_path / "policy.npz").read_bytes()).hexdigest()
     assert digest == PINNED_CI_POLICY_SHA256
+    # Loading keeps every stored bit: the loaded table saves the same bytes.
+    QTable.load(tmp_path / "policy.npz").save(tmp_path / "resaved.npz")
+    assert ((tmp_path / "resaved.npz").read_bytes()
+            == (tmp_path / "policy.npz").read_bytes())
 
 
 #: sha256 of the three-filter sweep's results.csv body and of the policy its

@@ -376,7 +376,7 @@ def test_full_overlap_baseline_keeps_all_offsets_at_zero():
 def test_missing_count_level_raises_policy_unavailable():
     # A table trained for one aggressor only: the third entrant counts two.
     scenario = fresh_scenario(3, seed=4)
-    policy = QTable(fo_quantum=8, per_count={1: {(0,): np.zeros(3)}})
+    policy = QTable(fo_quantum=8, per_count={1: {bytes(1): {}}})
     with pytest.raises(PolicyUnavailableError, match="aggressor count 2"):
         entry_sequence(scenario, policy)
 

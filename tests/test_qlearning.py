@@ -98,8 +98,8 @@ def test_numpy_integers_are_valid_budgets():
 
 def test_numpy_knobs_round_trip_through_an_artifact(tmp_path):
     # A float32 beta once passed its check, then QTable.save raised TypeError.
-    table = QTable(fo_quantum=Q, hyperparams=Hyperparams(beta=np.float32(0.5)))
-    table.per_count[1] = {(0,): np.array([1.0, 0.0, 0.0])}
+    table = table_of({1: {(0,): [1.0, 0.0, 0.0]}},
+                     hyperparams=Hyperparams(beta=np.float32(0.5)))
     table.save(tmp_path / "table.npz")
     loaded = QTable.load(tmp_path / "table.npz")
     assert loaded.hyperparams == table.hyperparams
@@ -123,49 +123,101 @@ def test_default_step_budget_scales_with_the_fo_grid():
 # table mechanics
 
 
-def test_action_effect_steps_one_link_with_wraparound():
-    table = QTable(fo_quantum=Q)
-    assert table.action_effect((3, 5), 0) == (3, 5)
-    assert table.action_effect((3, 5), 1) == (4, 5)
-    assert table.action_effect((3, 5), 2) == (2, 5)
-    assert table.action_effect((3, 5), 3) == (3, 6)
-    assert table.action_effect((7, 0), 1) == (0, 0)
-    assert table.action_effect((0, 0), 2) == (7, 0)
-    with pytest.raises(ParameterError):
-        table.action_effect((3,), 4)
+def key(state, fo_quantum=Q):
+    """The state key of an FO tuple."""
+    return np.array(state, dtype=qlearning._key_dtype(fo_quantum)).tobytes()
+
+
+def fo(state_key, fo_quantum=Q):
+    """The FO tuple of a state key."""
+    return tuple(np.frombuffer(state_key, qlearning._key_dtype(fo_quantum)).tolist())
+
+
+def sparse(values):
+    """A dense value row as a table keeps it: the entries whose bits are not
+    +0.0, by action index."""
+    values = np.asarray(values, dtype=float)
+    return {int(a): float(values[a]) for a in np.flatnonzero(values.view(np.uint64))}
+
+
+def table_of(rows, fo_quantum=Q, **fields):
+    """A table holding ``rows``: {count: {FO tuple: dense values}}."""
+    table = QTable(fo_quantum=fo_quantum, **fields)
+    for count, sub in rows.items():
+        table.per_count[count] = {key(state, fo_quantum): sparse(values)
+                                  for state, values in sub.items()}
+    return table
+
+
+def dense(table, count):
+    """The rows of ``table.per_count[count]`` as dense float64 rows by FO
+    tuple, in table order: an action never written holds 0.0."""
+    rows = {}
+    for state, row in table.per_count[count].items():
+        values = rows[fo(state, table.fo_quantum)] = np.zeros(2 * count + 1)
+        values[list(row)] = list(row.values())
+    return rows
+
+
+def rollout(table, count):
+    """``table._rollout(count)`` with FO tuples for state keys."""
+    visited, absorbed = table._rollout(count)
+    return ([fo(state, table.fo_quantum) for state in visited],
+            None if absorbed is None else fo(absorbed, table.fo_quantum))
+
+
+@pytest.mark.parametrize("fo_quantum", [Q, 300])
+def test_step_key_steps_one_link_with_wraparound(fo_quantum):
+    top = fo_quantum - 1
+    width = qlearning._key_dtype(fo_quantum).itemsize
+
+    def step(state, action):
+        moved = qlearning._step_key(key(state, fo_quantum), action, width, fo_quantum)
+        return fo(moved, fo_quantum)
+
+    assert step((3, 5), 0) == (3, 5)
+    assert step((3, 5), 1) == (4, 5)
+    assert step((3, 5), 2) == (2, 5)
+    assert step((3, 5), 3) == (3, 6)
+    assert step((top, 0), 1) == (0, 0)
+    assert step((0, 0), 2) == (top, 0)
+    assert step((0, 0), 4) == (0, top)
+
+
+def test_state_keys_sort_in_state_order_on_a_two_byte_grid():
+    states = [(0, 299), (1, 0), (42, 7), (43, 1), (255, 3), (256, 0), (298, 2)]
+    assert sorted(key(state, 300) for state in states) == [key(s, 300) for s in states]
 
 
 def test_greedy_picks_the_argmax_action():
-    table = QTable(fo_quantum=Q)
-    table.per_count[1] = {(0,): np.array([0.0, 2.0, 5.0])}
-    assert table.greedy(1, (0,)) == 2
+    table = table_of({1: {(0,): [0.0, 2.0, 5.0]}})
+    assert table.greedy(1, key((0,))) == 2
 
 
 def test_greedy_breaks_ties_toward_the_lowest_index():
-    table = QTable(fo_quantum=Q)
-    table.per_count[1] = {(0,): np.array([1.0, 1.0, 1.0])}
-    assert table.greedy(1, (0,)) == 0
-    table.per_count[1][(0,)] = np.array([0.5, 1.0, 1.0])
-    assert table.greedy(1, (0,)) == 1
+    table = table_of({1: {(0,): [1.0, 1.0, 1.0]}})
+    assert table.greedy(1, key((0,))) == 0
+    table.per_count[1][key((0,))] = sparse([0.5, 1.0, 1.0])
+    assert table.greedy(1, key((0,))) == 1
+    # An unwritten action reads 0.0, so it ties a written +0.0 or -0.0.
+    table.per_count[1][key((0,))] = {1: -0.0, 2: -1.0}
+    assert table.greedy(1, key((0,))) == 0
 
 
 def test_greedy_is_invariant_to_positive_scaling():
-    table = QTable(fo_quantum=Q)
     values = np.array([0.3, 1.7, 0.9])
-    table.per_count[1] = {(0,): values}
-    before = table.greedy(1, (0,))
-    table.per_count[1][(0,)] = 4.0 * values
-    assert table.greedy(1, (0,)) == before
+    table = table_of({1: {(0,): values}})
+    before = table.greedy(1, key((0,)))
+    table.per_count[1][key((0,))] = sparse(4.0 * values)
+    assert table.greedy(1, key((0,))) == before
 
 
 def test_greedy_on_a_state_without_a_row_is_a_key_error():
-    table = QTable(fo_quantum=Q)
-    table.per_count[1] = {(0,): np.array([0.0, 1.0, 0.0]),
-                          (4,): np.array([0.0, 0.0, 1.0])}
+    table = table_of({1: {(0,): [0.0, 1.0, 0.0], (4,): [0.0, 0.0, 1.0]}})
     with pytest.raises(KeyError):
-        table.greedy(1, (7,))
+        table.greedy(1, key((7,)))
     with pytest.raises(KeyError):
-        table.greedy(2, (0, 0))
+        table.greedy(2, key((0, 0)))
 
 
 def test_untrained_count_is_a_policy_error():
@@ -178,36 +230,26 @@ def test_untrained_count_is_a_policy_error():
 
 
 def test_decode_returns_the_absorbing_state_of_the_greedy_walk():
-    table = QTable(fo_quantum=Q)
-    sub = {}
     # Stepping up is best until state (3,), where the no-op dominates.
-    for q in range(Q):
-        if q < 3:
-            sub[(q,)] = np.array([0.0, 1.0, -1.0])
-        else:
-            sub[(q,)] = np.array([1.0, 0.0, 0.0])
-    table.per_count[1] = sub
+    table = table_of({1: {(q,): [0.0, 1.0, -1.0] if q < 3 else [1.0, 0.0, 0.0]
+                          for q in range(Q)}})
     assert table.fo_assignment(1) == (3,)
+    assert all(type(q) is int for q in table.fo_assignment(1))
 
 
 def test_decode_falls_back_to_least_remaining_improvement_on_cycles():
-    table = QTable(fo_quantum=Q)
     # Every state insists on stepping up, so the walk wraps around; the
     # smallest maximum value marks the state closest to convergence.
-    sub = {(q,): np.array([0.0, float(Q - q), 0.5]) for q in range(Q)}
-    table.per_count[1] = sub
+    table = table_of({1: {(q,): [0.0, float(Q - q), 0.5] for q in range(Q)}})
     assert table.fo_assignment(1) == (7,)
 
 
 def test_decode_stops_at_the_first_state_without_a_row():
-    table = QTable(fo_quantum=Q)
     # (0,) steps up to (1,) and (2,), which step up onto (3,): no row. (1,)
     # has the least improvement left; (6,) is never visited.
-    table.per_count[1] = {(0,): np.array([0.0, 3.0, 0.0]),
-                          (1,): np.array([0.0, 2.0, 0.0]),
-                          (2,): np.array([0.0, 2.5, 0.0]),
-                          (6,): np.array([0.0, 0.0, 1.0])}
-    assert table._rollout(1) == ([(0,), (1,), (2,), (3,)], None)
+    table = table_of({1: {(0,): [0.0, 3.0, 0.0], (1,): [0.0, 2.0, 0.0],
+                          (2,): [0.0, 2.5, 0.0], (6,): [0.0, 0.0, 1.0]}})
+    assert rollout(table, 1) == ([(0,), (1,), (2,), (3,)], None)
     assert table.fo_assignment(1) == (1,)
     assert decode_reads(table, 1) == {(0,), (1,), (2,)}
 
@@ -234,24 +276,25 @@ class ReadRecorder(dict):
 
 
 def decode_reads(table, count):
-    """States whose value vectors ``table.fo_assignment(count)`` reads."""
+    """FO tuples of the states whose rows ``table.fo_assignment(count)``
+    reads."""
     probe = QTable(fo_quantum=table.fo_quantum)
     probe.per_count[count] = ReadRecorder(table.per_count[count])
     probe.fo_assignment(count)
-    return probe.per_count[count].read
+    return {fo(state, table.fo_quantum) for state in probe.per_count[count].read}
 
 
 def walk_table():
     """Count 1 absorbs at (3,) after three steps up, with rows off the walk;
     count 2 steps from (0, 0) onto (1, 0), which has no row, so it stops
-    there and decodes to (0, 0)."""
-    table = QTable(fo_quantum=Q, hyperparams=Hyperparams(beta=0.25, episodes=7),
-                   seed=99)
-    table.per_count[1] = {(q,): (np.array([0.0, 1.0, -1.0]) if q < 3
-                                 else np.array([1.0, 0.0, 0.0])) + 0.1 * q
-                          for q in range(Q)}
-    table.per_count[2] = {(0, 0): np.array([0.0, 2.0, 0.0, 1.0, 0.0]),
-                          (1, 5): np.ones(5), (6, 6): np.arange(5.0)}
+    there and decodes to (0, 0). (0, 0) stores a -0.0, which reads as 0.0
+    but is kept."""
+    table = table_of(
+        {1: {(q,): (np.array([0.0, 1.0, -1.0]) if q < 3
+                    else np.array([1.0, 0.0, 0.0])) + 0.1 * q for q in range(Q)},
+         2: {(0, 0): [0.0, 2.0, -0.0, 1.0, 0.0], (1, 5): np.ones(5),
+             (6, 6): np.arange(5.0)}},
+        hyperparams=Hyperparams(beta=0.25, episodes=7), seed=99)
     table.converged = {1: True, 2: False}
     return table
 
@@ -269,15 +312,18 @@ def test_artifact_round_trips_exactly(tmp_path):
     assert loaded.converged == {1: True, 2: False}
     assert sorted(loaded.per_count) == [1, 2]
     for count, sub in loaded.per_count.items():
-        assert set(sub) == decode_reads(table, count)
-        for state, values in sub.items():
-            assert type(state) is tuple
-            assert all(type(q) is int for q in state)
-            assert values.dtype == table.per_count[count][state].dtype
-            assert np.array_equal(values, table.per_count[count][state])
-    assert set(loaded.per_count[1]) == {(0,), (1,), (2,), (3,)}
-    assert set(loaded.per_count[2]) == {(0, 0)}
-    assert table._rollout(2) == ([(0, 0), (1, 0)], None)
+        assert set(dense(loaded, count)) == decode_reads(table, count)
+        assert list(sub) == sorted(sub)
+        for state, row in sub.items():
+            assert type(state) is bytes
+            assert all(type(a) is int and type(v) is float for a, v in row.items())
+            assert row == table.per_count[count][state]
+    assert list(dense(loaded, 1)) == [(0,), (1,), (2,), (3,)]
+    assert list(dense(loaded, 2)) == [(0, 0)]
+    assert loaded.per_count[2][key((0, 0))] == {1: 2.0, 2: -0.0, 3: 1.0}
+    assert rollout(table, 2) == ([(0, 0), (1, 0)], None)
+    loaded.save(tmp_path / "resaved.npz")
+    assert (tmp_path / "resaved.npz").read_bytes() == path.read_bytes()
     assert table.fo_assignment(1) == (3,)
     assert table.fo_assignment(2) == (0, 0)
     for count in (1, 2):
@@ -285,33 +331,30 @@ def test_artifact_round_trips_exactly(tmp_path):
 
 
 def test_artifact_stores_the_trained_rows_of_a_walk_that_stops(tmp_path):
-    table = QTable(fo_quantum=Q)
     # (0,) steps up twice onto (2,), which has no row; (6,) is never read.
-    table.per_count[1] = {(0,): np.array([0.0, 2.0, 0.0]),
-                          (1,): np.array([0.0, 1.0, 0.0]),
-                          (6,): np.array([0.0, 0.0, 1.0])}
-    assert table._rollout(1) == ([(0,), (1,), (2,)], None)
+    table = table_of({1: {(0,): [0.0, 2.0, 0.0], (1,): [0.0, 1.0, 0.0],
+                          (6,): [0.0, 0.0, 1.0]}})
+    assert rollout(table, 1) == ([(0,), (1,), (2,)], None)
     assert table.fo_assignment(1) == (1,)
     path = tmp_path / "table.npz"
     table.save(path)
     loaded = QTable.load(path)
-    assert set(loaded.per_count[1]) == decode_reads(table, 1) == {(0,), (1,)}
+    assert set(dense(loaded, 1)) == decode_reads(table, 1) == {(0,), (1,)}
     assert loaded._rollout(1) == table._rollout(1)
     assert loaded.fo_assignment(1) == (1,)
 
 
-def v2_arrays(per_count, header):
-    """Artifact members holding every row of ``per_count``, in state order,
+def v2_arrays(table, header):
+    """Artifact members holding every row of ``table``, in state order,
     under a copy of ``header`` whose ``rows`` list matches them."""
-    counts = sorted(per_count)
-    states = [sorted(per_count[count]) for count in counts]
-    header = {**header, "counts": counts, "rows": [len(rows) for rows in states]}
+    counts = sorted(table.per_count)
+    rows = [dict(sorted(dense(table, count).items())) for count in counts]
+    header = {**header, "counts": counts, "rows": [len(sub) for sub in rows]}
     return {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-            "states": np.array([q for rows in states for state in rows for q in state],
+            "states": np.array([q for sub in rows for state in sub for q in state],
                                dtype=np.int64),
-            "values": np.concatenate([per_count[count][state]
-                                      for count, rows in zip(counts, states)
-                                      for state in rows])}
+            "values": np.concatenate([values for sub in rows
+                                      for values in sub.values()])}
 
 
 def test_artifact_with_extra_rows_loads_and_decodes_the_same(tmp_path):
@@ -322,33 +365,12 @@ def test_artifact_with_extra_rows_loads_and_decodes_the_same(tmp_path):
     table.save(path)
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
-    loaded = load_tampered(tmp_path, v2_arrays(table.per_count, header))
+    loaded = load_tampered(tmp_path, v2_arrays(table, header))
     for count, sub in table.per_count.items():
         assert len(sub) > len(decode_reads(table, count))
         assert list(loaded.per_count[count]) == sorted(sub)
-        for state, values in sub.items():
-            assert np.array_equal(loaded.per_count[count][state], values)
+        assert loaded.per_count[count] == sub
         assert loaded.fo_assignment(count) == table.fo_assignment(count)
-
-
-def dense_rows(rows, count, fo_quantum):
-    """The walk's sparse rows as dense float64 rows by state tuple, in the
-    walk's order: an action never written holds 0.0."""
-    dtype = qlearning._key_dtype(fo_quantum)
-    dense = {}
-    for key, written in rows.items():
-        values = np.zeros(2 * count + 1)
-        values[list(written)] = list(written.values())
-        dense[tuple(np.frombuffer(key, dtype).tolist())] = values
-    return dense
-
-
-def walk_into(table, count, evaluator, rng):
-    """Run the training walk and put its rows, made dense, in ``table``;
-    True when it converged."""
-    rows, converged = _train_one_count(table.hyperparams, count, evaluator, rng)
-    table.per_count[count] = dense_rows(rows, count, evaluator.fo_quantum)
-    return converged
 
 
 def full_table(family, s_max, hp, rng_seed):
@@ -358,7 +380,7 @@ def full_table(family, s_max, hp, rng_seed):
     for count in range(1, s_max + 1):
         drops = [family(count + 1, np.random.default_rng([rng_seed, count, d]))
                  for d in range(hp.ensemble)]
-        table.converged[count] = walk_into(
+        table.converged[count] = _train_one_count(
             table, count, EnsembleEvaluator(drops),
             np.random.default_rng([rng_seed, count, hp.ensemble]))
     return table
@@ -388,10 +410,12 @@ def test_training_keeps_only_the_decode_rows_of_the_full_table(trained_and_full)
     assert table.converged == full.converged
     assert list(table.per_count) == list(full.per_count)
     for count, rows in table.per_count.items():
-        assert set(rows) == decode_reads(full, count) == decode_reads(table, count)
+        kept, every = dense(table, count), dense(full, count)
+        assert set(kept) == decode_reads(full, count) == decode_reads(table, count)
+        assert list(rows) == sorted(rows)
         assert len(rows) < len(full.per_count[count])
-        for state, values in rows.items():
-            assert values.tobytes() == full.per_count[count][state].tobytes()
+        for state, values in kept.items():
+            assert values.tobytes() == every[state].tobytes()
         assert table.fo_assignment(count) == full.fo_assignment(count)
 
 
@@ -412,18 +436,15 @@ def test_trained_table_round_trips_every_prescription(trained_and_full, tmp_path
     for count in range(1, 7):
         assert loaded.fo_assignment(count) == table.fo_assignment(count)
         assert list(loaded.per_count[count]) == list(table.per_count[count])
-        assert set(loaded.per_count[count]) == decode_reads(table, count)
+        assert set(dense(loaded, count)) == decode_reads(table, count)
 
 
 def saved_arrays(tmp_path):
     """The arrays of a saved two-count artifact, by name: count 1 steps from
     (0,) up onto (1,), count 2 from (0, 0) onto (0, 1), and each absorbs
     there, so each keeps two rows; (5,) is off the walk."""
-    table = QTable(fo_quantum=Q)
-    table.per_count[1] = {(0,): np.array([0.0, 1.0, 0.0]), (1,): np.zeros(3),
-                          (5,): np.ones(3)}
-    table.per_count[2] = {(0, 0): np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
-                          (0, 1): np.full(5, 2.0)}
+    table = table_of({1: {(0,): [0.0, 1.0, 0.0], (1,): np.zeros(3), (5,): np.ones(3)},
+                      2: {(0, 0): [0.0, 0.0, 0.0, 1.0, 0.0], (0, 1): np.full(5, 2.0)}})
     path = tmp_path / "table.npz"
     table.save(path)
     with np.load(path) as data:
@@ -514,7 +535,8 @@ def test_artifact_repeating_a_state_within_a_count_is_a_config_error(tmp_path):
     # Count 1's two states may equal count 2's first coordinates; only a
     # repeat within one count is an error.
     arrays["states"] = np.array([0, 1, 1, 0, 0, 1])
-    assert list(load_tampered(tmp_path, arrays).per_count[2]) == [(1, 0), (0, 1)]
+    assert list(load_tampered(tmp_path, arrays).per_count[2]) == [key((1, 0)),
+                                                                   key((0, 1))]
     arrays["states"] = np.array([0, 1, 0, 1, 0, 1])
     with pytest.raises(ConfigError, match="states repeat within count 2"):
         load_tampered(tmp_path, arrays)
@@ -533,7 +555,8 @@ def test_an_artifact_in_the_earlier_layout_is_a_config_error(tmp_path):
         header = {**json.loads(bytes(data["header"]).decode()), "version": 1}
     del header["rows"]
     arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-    for count, rows in table.per_count.items():
+    for count in table.per_count:
+        rows = dense(table, count)
         arrays[f"states_{count}"] = np.array(sorted(rows), dtype=np.int64)
         arrays[f"values_{count}"] = np.stack([rows[s] for s in sorted(rows)])
     with pytest.raises(ConfigError,
@@ -594,14 +617,15 @@ def edited(name, value):
     edited("counts", [1, 2.5]), edited("counts", ["1", "2"]),
     edited("counts", 2), edited("counts", [True, 2]),
     edited("counts", [2, 1]), edited("counts", [1, 1]),
-    edited("fo_quantum", 8.0), edited("seed", "zero"),
+    edited("fo_quantum", 8.0), edited("seed", "zero"), edited("seed", -1),
     edited("converged", [True, False]),
+    edited("converged", {"1": "false"}), edited("converged", {"1": 0}),
 ], ids=["no_counts", "no_fo_quantum", "no_seed", "no_hyperparams",
         "no_converged", "list", "unknown_hyperparam", "bad_hyperparam",
         "hyperparams_list", "bool_hyperparam", "float_count", "string_counts",
         "scalar_counts", "bool_count", "descending_counts", "repeated_count",
-        "float_fo_quantum", "string_seed",
-        "converged_list"])
+        "float_fo_quantum", "string_seed", "negative_seed",
+        "converged_list", "string_converged", "integer_converged"])
 def test_malformed_artifact_header_is_a_config_error(tmp_path, edit):
     arrays = with_header(saved_arrays(tmp_path), edit)
     with pytest.raises(ConfigError):
@@ -609,8 +633,7 @@ def test_malformed_artifact_header_is_a_config_error(tmp_path, edit):
 
 
 def test_artifact_version_and_format_are_checked(tmp_path):
-    table = QTable(fo_quantum=Q)
-    table.per_count[1] = {(0,): np.zeros(3)}
+    table = table_of({1: {(0,): np.zeros(3)}})
     path = tmp_path / "table.npz"
     table.save(path)
     with np.load(path) as data:
@@ -690,7 +713,7 @@ def test_training_is_seed_deterministic():
     def rows(seed):
         table = train(synthetic_family(), 1, hp, rng_seed=seed)
         assert list(table.per_count) == [1]
-        return {state: values.tobytes() for state, values in table.per_count[1].items()}
+        return table.per_count[1]
 
     # Another seed may keep other states, so whole row sets are compared.
     assert rows(11) == rows(11)
@@ -739,8 +762,9 @@ def test_trained_assignments_match_exhaustive_search_on_a_fixed_geometry():
 def test_trained_table_drives_the_entry_protocol():
     hp = Hyperparams(ensemble=2, episodes=120, beta=1.0, epsilon_end=0.3)
     table = train(synthetic_family(), 1, hp, rng_seed=3)
-    table.per_count[2] = {(0, 0): np.zeros(5), (4, 2): np.array([1.0, 0, 0, 0, 0])}
-    table.per_count[3] = {(1, 2, 3): np.array([1.0] + [0.0] * 6)}
+    table.per_count.update(table_of({
+        2: {(0, 0): np.zeros(5), (4, 2): [1.0, 0, 0, 0, 0]},
+        3: {(1, 2, 3): [1.0] + [0.0] * 6}}).per_count)
     rng = np.random.default_rng(6)
     scenario = generate_drop(ExperimentConfig(experiment="capacity_vs_aggressors"),
                              3, rng)
@@ -756,13 +780,28 @@ def test_trained_table_drives_the_entry_protocol():
 # deferred updates against the step-by-step walk
 
 
-def step_by_step_train_one_count(table, count, evaluator, rng):
-    """The training walk that queries each step's capacity and updates its
-    row at once: the oracle of ``_train_one_count``."""
-    hp = table.hyperparams
-    steps = hp.steps(table.fo_quantum)
-    num_actions = table.num_actions(count)
-    capacity_cache = {}
+def step_by_step_train_one_count(hp, count, evaluator, rng, fo_quantum=Q):
+    """The training walk over dense rows by state tuple that queries each
+    step's capacity and updates its row at once: the oracle of
+    ``_train_one_count``. Returns (rows in the order their states were first
+    touched, converged)."""
+    steps = hp.steps(fo_quantum)
+    num_actions = 2 * count + 1
+    rows, capacity_cache = {}, {}
+
+    def values_for(state):
+        values = rows.get(state)
+        if values is None:
+            values = rows[state] = np.zeros(num_actions)
+        return values
+
+    def step(state, action):
+        if action == 0:
+            return state
+        link, parity = divmod(action - 1, 2)
+        moved = list(state)
+        moved[link] = (moved[link] + (1 if parity == 0 else -1)) % fo_quantum
+        return tuple(moved)
 
     def mean_capacity(state):
         capacity = capacity_cache.get(state)
@@ -776,23 +815,23 @@ def step_by_step_train_one_count(table, count, evaluator, rng):
         cap_prev = mean_capacity(state)
         sweep_delta = 0.0
         for _ in range(steps):
-            values = table.values_for(count, state)
+            values = values_for(state)
             if rng.random() < eps:
                 action = int(rng.integers(num_actions))
             else:
                 action = int(values.argmax())
-            next_state = table.action_effect(state, action)
+            next_state = step(state, action)
             cap_now = mean_capacity(next_state)
             step_reward = reward(cap_now, cap_prev, hp.lambda1)
-            max_next = float(table.values_for(count, next_state).max())
+            max_next = float(values_for(next_state).max())
             old = float(values[action])
             new = q_update(old, step_reward, max_next, hp.beta, hp.gamma)
             values[action] = new
             sweep_delta = max(sweep_delta, abs(new - old))
             state, cap_prev = next_state, cap_now
         if sweep_delta < hp.tolerance:
-            return True
-    return False
+            return rows, True
+    return rows, False
 
 
 def random_energies(num_links, rng, fo_quantum=Q):
@@ -806,26 +845,32 @@ def random_energies(num_links, rng, fo_quantum=Q):
 
 
 def train_both_ways(count, hp, fo_quantum=Q):
-    """(deferred, step-by-step) tables for one count on the same drops."""
+    """(table, step-by-step rows, step-by-step converged) for one count on
+    the same drops and walk stream: ``table`` holds the deferred walk and
+    its ``converged`` flag."""
     rng = np.random.default_rng([count, hp.ensemble])
     drops = [random_energies(count + 1, rng, fo_quantum) for _ in range(hp.ensemble)]
-    tables = []
-    for walk in (walk_into, step_by_step_train_one_count):
-        table = QTable(fo_quantum=fo_quantum, hyperparams=hp)
-        table.converged[count] = walk(table, count, EnsembleEvaluator(drops),
-                                      np.random.default_rng(7))
-        tables.append(table)
-    return tables
+    table = QTable(fo_quantum=fo_quantum, hyperparams=hp)
+    table.converged[count] = _train_one_count(table, count, EnsembleEvaluator(drops),
+                                              np.random.default_rng(7))
+    rows, converged = step_by_step_train_one_count(
+        hp, count, EnsembleEvaluator(drops), np.random.default_rng(7), fo_quantum)
+    return table, rows, converged
+
+
+def assert_rows_bit_identical(got, want):
+    """Dense rows by state tuple, equal in order (the order states were first
+    touched) and bit for bit."""
+    assert list(got) == list(want)
+    assert ([values.tobytes() for values in got.values()]
+            == [values.tobytes() for values in want.values()])
 
 
 def assert_bit_identical(got, want):
     assert got.converged == want.converged
     assert list(got.per_count) == list(want.per_count)
-    for count, rows in want.per_count.items():
-        # Insertion order too: it is the order states were first touched.
-        assert list(got.per_count[count]) == list(rows)
-        assert ([values.tobytes() for values in got.per_count[count].values()]
-                == [values.tobytes() for values in rows.values()])
+    for count in want.per_count:
+        assert_rows_bit_identical(dense(got, count), dense(want, count))
 
 
 @pytest.mark.parametrize("beta", [0.1, 1.0])
@@ -834,7 +879,9 @@ def assert_bit_identical(got, want):
 def test_deferred_updates_train_the_step_by_step_table(count, ensemble, beta):
     hp = Hyperparams(ensemble=ensemble, episodes=25, beta=beta,
                      epsilon_end=0.3, gamma=0.95)
-    assert_bit_identical(*train_both_ways(count, hp))
+    table, rows, converged = train_both_ways(count, hp)
+    assert table.converged == {count: converged}
+    assert_rows_bit_identical(dense(table, count), rows)
 
 
 @pytest.mark.parametrize("count", [1, 3, 12])
@@ -843,9 +890,10 @@ def test_deferred_updates_stop_at_the_step_by_step_episode(count):
     # before the episode budget runs out.
     hp = Hyperparams(ensemble=4, episodes=60, beta=1.0, epsilon_start=0.3,
                      epsilon_end=0.0, gamma=0.5, tolerance=1e-3)
-    deferred, step_by_step = train_both_ways(count, hp)
-    assert step_by_step.converged == {count: True}
-    assert_bit_identical(deferred, step_by_step)
+    table, rows, converged = train_both_ways(count, hp)
+    assert converged
+    assert table.converged == {count: True}
+    assert_rows_bit_identical(dense(table, count), rows)
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -854,9 +902,10 @@ def test_a_grid_wider_than_one_byte_trains_the_step_by_step_table(count):
     # from 0 wraps to 299, so the walk meets indices above 255.
     hp = Hyperparams(ensemble=2, episodes=25, steps_per_episode=60, beta=0.5,
                      epsilon_end=0.3, gamma=0.95)
-    deferred, step_by_step = train_both_ways(count, hp, fo_quantum=300)
-    assert max(max(state) for state in step_by_step.per_count[count]) > 255
-    assert_bit_identical(deferred, step_by_step)
+    table, rows, converged = train_both_ways(count, hp, fo_quantum=300)
+    assert max(max(state) for state in rows) > 255
+    assert table.converged == {count: converged}
+    assert_rows_bit_identical(dense(table, count), rows)
 
 
 @st.composite
@@ -894,6 +943,32 @@ def test_tables_trained_on_random_energies_round_trip_through_an_artifact(tmp_pa
     assert_bit_identical(loaded, table)
     for count in range(1, 13):
         assert loaded.fo_assignment(count) == table.fo_assignment(count)
+
+
+def test_a_two_byte_grid_round_trips_through_an_artifact(tmp_path):
+    # At Q = 300 a state key holds two bytes per FO index; the artifact
+    # still lists each count's states in ascending tuple order, and a loaded
+    # table saves the same bytes.
+    hp = Hyperparams(ensemble=2, episodes=25, steps_per_episode=60, beta=0.5,
+                     epsilon_end=0.3, gamma=0.95)
+    table = train(lambda links, rng: random_energies(links, rng, 300), 3, hp,
+                  rng_seed=1)
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    table.save(first)
+    loaded = QTable.load(first)
+    loaded.save(second)
+    assert second.read_bytes() == first.read_bytes()
+    assert_bit_identical(loaded, table)
+    with np.load(first) as data:
+        header = json.loads(bytes(data["header"]).decode())
+        states = data["states"]
+    assert states.max() > 255
+    at = 0
+    for count, n in zip(header["counts"], header["rows"]):
+        block = [tuple(s) for s in states[at:at + n * count].reshape(n, count).tolist()]
+        assert block == sorted(set(block))
+        assert loaded.fo_assignment(count) == table.fo_assignment(count)
+        at += n * count
 
 
 # ---------------------------------------------------------------------------
