@@ -14,8 +14,7 @@ from .waveform import (GAUSSIAN, RRC, IOTA, FILTER_FAMILIES, LatticeConfig,
                        PrototypeFilter, make_gaussian, make_rrc, make_iota,
                        filter_factory, ambiguity, CrossAmbiguity)
 from .channel import ChannelModel, free_space_path_loss, realize_channel
-from .network import (Link, NetworkScenario, sample_point_near,
-                      update_aggressor_count, entry_sequence, COUNT_THRESHOLD_DB)
+from .network import Link, NetworkScenario, sample_point_near, entry_sequence
 from .interference import (link_metric, victim_energy_tables, ScenarioEnergies,
                            EnsembleEvaluator)
 from .qlearning import Hyperparams, QTable, train
@@ -31,8 +30,7 @@ __all__ = [
     "PrototypeFilter", "make_gaussian", "make_rrc", "make_iota",
     "filter_factory", "ambiguity", "CrossAmbiguity",
     "ChannelModel", "free_space_path_loss", "realize_channel",
-    "Link", "NetworkScenario", "sample_point_near", "update_aggressor_count",
-    "entry_sequence", "COUNT_THRESHOLD_DB",
+    "Link", "NetworkScenario", "sample_point_near", "entry_sequence",
     "link_metric", "victim_energy_tables", "ScenarioEnergies",
     "EnsembleEvaluator",
     "Hyperparams", "QTable", "train",

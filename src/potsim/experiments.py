@@ -1,20 +1,19 @@
 """Monte Carlo experiment harness with plot-ready CSV/JSON output.
 
 A run sweeps one grid (receive SNR or aggressor count), draws independent
-victim-centric network drops at every grid point, replays the entry protocol
-to obtain the learned FO assignment, and aggregates one metric per
-(grid value, filter, overlap mode) series. Geometry and channel draws are
-keyed by (seed, grid index, drop index) alone, so every filter and overlap
-mode sees identical drops and reruns are byte-identical.
+victim-centric network drops at every grid point, and aggregates one metric
+per (grid value, filter, overlap mode) series. The entry protocol runs once
+per run, for the largest aggressor count: its FO assignment depends on the
+policy alone, and each grid point reads a prefix of it. Geometry and channel
+draws are keyed by (seed, grid index, drop index) alone, so every filter and
+overlap mode sees identical drops and reruns are byte-identical.
 """
 
-import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,8 +130,10 @@ class ExperimentConfig:
                            (self.aggressor_grid, "aggressor_grid")):
             if not grid:
                 raise ConfigError(f"{name} must be non-empty")
-            if list(grid) != sorted(grid):
-                raise ConfigError(f"{name} must be sorted ascending")
+            # A repeated value would pool two drop sets into one row.
+            if any(a >= b for a, b in zip(grid, grid[1:])):
+                raise ConfigError(f"{name} must be strictly ascending, "
+                                  f"got {list(grid)!r}")
         if min(self.aggressor_grid) < 1:
             raise ConfigError("aggressor counts must be at least 1")
         if self.filter_param <= 0:
@@ -205,17 +206,16 @@ def generate_drop(config: ExperimentConfig, num_aggressors: int,
                                   config.area_side, rng)
     # tau0 * rng.random() is rng.uniform(0.0, tau0) to the bit.
     links = [Link(tp_position=victim_tp, rp_position=victim_rp,
-                  entry_rank=1, timing_offset=tau0 * rng.random())]
-    for j in range(num_aggressors):
+                  timing_offset=tau0 * rng.random())]
+    for _ in range(num_aggressors):
         tp = sample_point_near(victim_rp, config.interference_radius,
                                config.area_side, rng)
         rp = sample_point_near(tp, config.max_link_range, config.area_side, rng)
         links.append(Link(tp_position=tp, rp_position=rp,
-                          entry_rank=j + 2,
                           timing_offset=tau0 * rng.random()))
     return NetworkScenario(links=links, area_side=config.area_side,
                            max_link_range=config.max_link_range,
-                           lattice=lattice, fo_quantum=config.fo_quantum)
+                           lattice=lattice)
 
 
 def realize_channels(scenario: NetworkScenario, model: ChannelModel,
@@ -253,13 +253,6 @@ def scenario_family(config: ExperimentConfig, cross_amb: CrossAmbiguity):
                                 model.tap_delays, cross_amb, snr_db=config.snr_db)
 
     return build
-
-
-def _pot_qdiffs(scenario: NetworkScenario, policy) -> list:
-    """Aggressor FO indices minus the victim's after the entry protocol."""
-    entry_sequence(scenario, policy)
-    victim_q = scenario.links[0].fo_index
-    return [link.fo_index - victim_q for link in scenario.links[1:]]
 
 
 def _mean_ci(values) -> tuple:
@@ -334,12 +327,9 @@ def load_or_train_policy(config: ExperimentConfig, out_dir: Path):
 def _sweep(config: ExperimentConfig, policy) -> list:
     """All CSV rows for a sweep experiment, in deterministic order.
 
-    Each aggressor count is decoded from ``policy`` at most once, when an
-    entrant first consults it; a count that fails to decode raises again at
-    every entry that consults it.
+    ``policy`` is read only in POT mode: one entry-protocol run for the
+    largest aggressor count consults each count once.
     """
-    if policy is not None:
-        policy = SimpleNamespace(fo_assignment=functools.cache(policy.fo_assignment))
     metric = EXPERIMENT_METRICS[config.experiment]
     if config.experiment == CAPACITY_VS_SNR:
         grid = config.snr_grid
@@ -351,6 +341,12 @@ def _sweep(config: ExperimentConfig, policy) -> list:
     evaluators = {family: CrossAmbiguity(pulse, pulse, lattice,
                                          fo_quantum=config.fo_quantum)
                   for family, pulse in pulses.items()}
+    # Offsets in entry order, the victim's (0) first. The protocol's outcome
+    # for S aggressors is the first S + 1 entries of the largest count's.
+    s_max = required_s_max(config)
+    offsets = {FULL_OVERLAP: [0] * (s_max + 1)}
+    if POT in config.modes:
+        offsets[POT] = entry_sequence(policy, s_max + 1, config.fo_quantum)
     samples = {}
     for g_idx, grid_value in enumerate(grid):
         if config.experiment == CAPACITY_VS_SNR:
@@ -358,20 +354,17 @@ def _sweep(config: ExperimentConfig, policy) -> list:
         else:
             num_aggressors, snr_db = int(grid_value), config.snr_db
         snr_lin = 10.0 ** (snr_db / 10.0)
+        # Each aggressor's profile entry at its FO difference from the victim.
+        cells = {mode: (np.arange(num_aggressors),
+                        np.add(offsets[mode][1:num_aggressors + 1],
+                               config.fo_quantum - 1))
+                 for mode in config.modes}
         for drop in range(config.num_drops):
             geometry_rng = np.random.default_rng([config.seed, g_idx, drop, 0])
             scenario = generate_drop(config, num_aggressors, geometry_rng)
             channel_rng = np.random.default_rng([config.seed, g_idx, drop, 1])
             (path_gains,), (tap_gains,) = realize_channels(
                 scenario, model, channel_rng, scenario.links[:1])
-            aggressors = scenario.links[1:]
-            qdiffs = {FULL_OVERLAP: [0] * len(aggressors)}
-            if POT in config.modes:
-                qdiffs[POT] = _pot_qdiffs(scenario, policy)
-            # Each aggressor's profile entry at its FO difference.
-            cells = {mode: (np.arange(len(aggressors)),
-                            np.add(qdiffs[mode], config.fo_quantum - 1))
-                     for mode in config.modes}
             for family in config.filters:
                 e_signal, e_self, profiles = victim_energy_tables(
                     scenario.links, 0, path_gains, tap_gains, model.tap_delays,

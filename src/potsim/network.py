@@ -1,37 +1,30 @@
 """Network geometry and the distributed frequency-offset entry protocol.
 
-Links are transmit/receive point pairs dropped on a square area. Each link
-keeps an aggressor counter that it updates from observed SINR changes, and
-on entry adopts the frequency offset a trained policy prescribes for its
-counter value, never reusing an offset an active link already uses while an
-unused quantized offset remains.
+Links are transmit/receive point pairs dropped on a square area and listed
+in entry order. On entry a link counts the links already active as its
+aggressors and adopts the frequency offset a trained policy prescribes for
+that count, never reusing an offset an active link already uses while an
+unused quantized offset remains. Counting is exact, so the offsets depend
+on the policy alone, not on where the links lie.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ParameterError, PolicyUnavailableError
 from .waveform import LatticeConfig
 
-#: SINR change, in dB, that the counting protocol treats as one aggressor
-#: appearing or disappearing.
-COUNT_THRESHOLD_DB = 3.0
-
 
 @dataclass
 class Link:
-    """One transmitter-receiver pair and its protocol state."""
+    """One transmitter-receiver pair."""
 
     tp_position: tuple
     rp_position: tuple
-    entry_rank: int
     timing_offset: float = 0.0
-    fo_index: int = 0
-    aggressor_count: int = 0
 
     @property
     def length(self) -> float:
@@ -40,22 +33,16 @@ class Link:
 
 @dataclass
 class NetworkScenario:
-    """A set of links plus the lattice and FO quantization they share."""
+    """A set of links, in entry order, plus the lattice they share."""
 
     links: list
     area_side: float
     max_link_range: float
     lattice: LatticeConfig
-    fo_quantum: int = 8
 
     def __post_init__(self):
         if self.area_side <= 0 or self.max_link_range <= 0:
             raise ParameterError("area side and link range must be positive")
-        if self.fo_quantum < 1:
-            raise ParameterError("fo_quantum must be at least 1")
-        ranks = sorted(link.entry_rank for link in self.links)
-        if ranks != list(range(1, len(self.links) + 1)):
-            raise ConfigError("entry ranks must be a permutation of 1..num_links")
         for link in self.links:
             for pos in (link.tp_position, link.rp_position):
                 if not (0 <= pos[0] <= self.area_side and 0 <= pos[1] <= self.area_side):
@@ -64,12 +51,6 @@ class NetworkScenario:
                 raise ConfigError("link length exceeds max_link_range")
             if not 0 <= link.timing_offset < self.lattice.tau0:
                 raise ConfigError("timing offsets must lie in [0, tau0)")
-
-    def set_fo_index(self, link: Link, q: int):
-        link.fo_index = int(q) % self.fo_quantum
-
-    def by_entry_order(self) -> list:
-        return sorted(self.links, key=lambda link: link.entry_rank)
 
 
 def sample_point_near(center, max_range: float, area_side: float,
@@ -102,72 +83,29 @@ def sample_point_near(center, max_range: float, area_side: float,
             return (x, y)
 
 
-def update_aggressor_count(link: Link, sinr_before_db: float,
-                           sinr_after_db: float) -> int:
-    """Apply the 3 dB counting rule and return the updated counter.
+def entry_sequence(policy, num_links: int, fo_quantum: int) -> list:
+    """Each link's FO index, in entry order, after ``num_links`` links enter.
 
-    A drop of more than 3 dB means one more aggressor, a rise of more than
-    3 dB one less; the counter never goes below zero.
+    The first link (the victim) hears nobody and stays at FO zero. Counting
+    is exact: the k-th entrant counts the k - 1 active links and adopts the
+    offset the policy prescribes for that count (``_pick_offset``). So the
+    offsets depend on the policy alone, and those of the first n links do
+    not depend on how many enter after them.
+
+    ``policy`` is any object with fo_assignment(count) returning a tuple of
+    quantized FO indices for that many aggressors, or raising
+    PolicyUnavailableError for a count it has none for. Each count from 1
+    to num_links - 1 is consulted once, in order.
     """
-    if sinr_after_db < sinr_before_db - COUNT_THRESHOLD_DB:
-        link.aggressor_count += 1
-    elif sinr_after_db > sinr_before_db + COUNT_THRESHOLD_DB:
-        link.aggressor_count = max(0, link.aggressor_count - 1)
-    return link.aggressor_count
+    offsets, in_use = [0], {0}
+    for count in range(1, num_links):
+        q = _pick_offset(policy, count, in_use, fo_quantum)
+        offsets.append(q)
+        in_use.add(q)
+    return offsets
 
 
-def entry_sequence(scenario: NetworkScenario, policy,
-                   measure: Optional[Callable[[Link, Link], tuple]] = None) -> None:
-    """Replay sequential link entries and assign frequency offsets in place.
-
-    Links activate in entry_rank order at FO zero. Every active link compares
-    its SINR just before and just after the newcomer's first burst (through
-    ``measure(observer, entrant)``, which returns that dB pair) and updates
-    its counter by the 3 dB rule; the entrant senses each active transmission
-    the same way. The entrant then adopts the FO the policy prescribes for
-    its counter, skipping offsets active links already use while unused
-    quantized offsets remain (``_pick_offset``). Without a ``measure`` hook
-    every transmission is detected, which is the noiseless limit: the
-    entrant counts the active links and each of them adds one, set directly
-    in O(S) instead of measured pair by pair.
-
-    ``policy`` may be None (every link stays at FO zero, the fully
-    overlapping baseline) or any object with fo_assignment(count) returning a
-    tuple of quantized FO indices for that many aggressors, or raising
-    PolicyUnavailableError for a count it has none for.
-
-    Returns None: the outcome is each link's ``fo_index`` and
-    ``aggressor_count``, as the entry left them.
-    """
-    active = []
-    in_use = set()
-    for entrant in scenario.by_entry_order():
-        scenario.set_fo_index(entrant, 0)
-        if measure is None:
-            # Exact counting: the entrant hears every active link.
-            entrant.aggressor_count = len(active)
-        else:
-            entrant.aggressor_count = 0
-            for observer in active:
-                before, after = measure(observer, entrant)
-                update_aggressor_count(observer, before, after)
-            for other in active:
-                before, after = measure(entrant, other)
-                update_aggressor_count(entrant, before, after)
-        count = entrant.aggressor_count
-        if count > 0 and policy is not None:
-            scenario.set_fo_index(entrant, _pick_offset(scenario, policy, count, in_use))
-        in_use.add(entrant.fo_index)
-        active.append(entrant)
-    if measure is None:
-        # Every active link heard each later entrant too, so in the end each
-        # link counts all the others.
-        for link in active:
-            link.aggressor_count = len(active) - 1
-
-
-def _pick_offset(scenario: NetworkScenario, policy, count: int,
-                 in_use: set) -> int:
+def _pick_offset(policy, count: int, in_use: set, quantum: int) -> int:
     """Choose the entrant's FO index from the policy's prescription.
 
     The first prescribed index no active link uses; otherwise the lowest
@@ -177,7 +115,6 @@ def _pick_offset(scenario: NetworkScenario, policy, count: int,
     first, which at S = 50 is often the victim's offset 0, so it sets the
     gap between POT and full overlap that acceptance criterion 8 measures.
     """
-    quantum = scenario.fo_quantum
     prescription = (int(q) % quantum for q in policy.fo_assignment(count))
     first = next(prescription, None)
     if first is None:

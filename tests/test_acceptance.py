@@ -235,10 +235,8 @@ def time_domain_energies(pulse, victim_taps, aggressor_taps,
 def model_energies(pulse, victim_taps, aggressor_taps):
     tau0 = ORACLE_LATTICE.tau0
     cross = CrossAmbiguity(pulse, pulse, ORACLE_LATTICE, fo_quantum=8)
-    victim = Link((0.0, 0.0), (10.0, 0.0), 1)
-    aggressor = Link((5.0, 5.0), (12.0, 3.0), 2,
-                     timing_offset=ORACLE_SHIFT * tau0,
-                     fo_index=3)
+    victim = Link((0.0, 0.0), (10.0, 0.0))
+    aggressor = Link((5.0, 5.0), (12.0, 3.0), timing_offset=ORACLE_SHIFT * tau0)
     # Both channels on one delay grid, a tap the other link lacks at gain 0.
     delays = sorted({delay for _, delay in victim_taps + aggressor_taps})
     tap_gains = np.zeros((2, len(delays)), dtype=complex)
@@ -248,8 +246,8 @@ def model_energies(pulse, victim_taps, aggressor_taps):
     e_signal, e_self, profiles = victim_energy_tables(
         [victim, aggressor], 0, np.ones(2), tap_gains,
         np.array(delays) * tau0, cross)
-    qdiff = aggressor.fo_index - victim.fo_index
-    return e_signal, e_self, float(profiles[0, qdiff + cross.fo_quantum - 1])
+    # The aggressor sits three offsets above the victim.
+    return e_signal, e_self, float(profiles[0, 3 + cross.fo_quantum - 1])
 
 
 def test_criterion_3_decompose_matches_time_domain_simulation():

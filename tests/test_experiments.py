@@ -88,6 +88,16 @@ def test_grids_must_be_sorted_and_non_empty():
         quick_config(num_drops=0)
 
 
+@pytest.mark.parametrize("field,grid", [
+    ("aggressor_grid", (2, 2)), ("aggressor_grid", (1, 5, 5, 10)),
+    ("snr_grid", (10.0, 10.0)), ("snr_grid", (0.0, "inf", "inf"))])
+def test_a_repeated_grid_value_is_rejected(field, grid):
+    # (2, 2) once wrote two identical rows, each the mean over both grid
+    # points' drops while its drops column read one point's count.
+    with pytest.raises(ConfigError, match=f"{field} must be strictly ascending"):
+        quick_config(**{field: grid})
+
+
 def test_infinite_snr_parses_from_json_strings():
     config = ExperimentConfig.from_dict(
         {"experiment": "capacity_vs_snr", "snr_grid": [0, 10, "inf"]})
@@ -146,13 +156,11 @@ def test_drops_are_victim_centric():
     for _ in range(20):
         scenario = generate_drop(config, 5, rng)
         victim = scenario.links[0]
-        assert victim.entry_rank == 1
         assert victim.length <= config.max_link_range
-        for rank, aggressor in enumerate(scenario.links[1:], start=2):
+        for aggressor in scenario.links[1:]:
             gap = math.dist(aggressor.tp_position, victim.rp_position)
             assert gap <= config.interference_radius + 1e-9
             assert aggressor.length <= config.max_link_range
-            assert aggressor.entry_rank == rank
 
 
 @pytest.mark.parametrize("field", ["interference_radius", "max_link_range"])
@@ -332,6 +340,17 @@ def test_cli_rejects_bad_configs(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"experiment": "capacity_vs_snr", "bogus": 1}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_run_with_a_repeated_grid_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "capacity_vs_aggressors",
+                                "aggressor_grid": [2, 2], "num_drops": 3,
+                                "overlap_mode": "full_overlap"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "aggressor_grid must be strictly ascending" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field,value", [

@@ -26,26 +26,28 @@ from potsim import interference
 Q = 8
 
 
-def link_at(rank, timing=0.0, fo_index=0):
+def link_at(timing=0.0):
     return Link(tp_position=(0.0, 0.0), rp_position=(1.0, 0.0),
-                entry_rank=rank, timing_offset=timing, fo_index=fo_index)
+                timing_offset=timing)
 
 
-def split_of(links, row, cross, victim=0):
-    """(E_S, E_SI, each aggressor's energy at the links' FO indices) of
+def split_of(links, row, cross, victim=0, offsets=None):
+    """(E_S, E_SI, each aggressor's energy at its FO difference) of
     ``links[victim]`` over its row of channels (path_gains, tap_gains,
-    tap_delays), as a sweep reads the victim's tables."""
+    tap_delays), as a sweep reads the victim's tables. ``offsets`` are the
+    links' FO indices, all 0 by default."""
+    offsets = offsets or [0] * len(links)
     e_signal, e_self, profiles = victim_energy_tables(links, victim, *row, cross)
-    aggressors = links[:victim] + links[victim + 1:]
-    per_aggressor = [float(r[a.fo_index - links[victim].fo_index + Q - 1])
-                     for r, a in zip(profiles, aggressors)]
+    others = [offsets[a] for a in range(len(links)) if a != victim]
+    per_aggressor = [float(r[q - offsets[victim] + Q - 1])
+                     for r, q in zip(profiles, others)]
     return e_signal, e_self, per_aggressor
 
 
 @pytest.fixture(scope="module")
 def setup(lattice, gaussian_02):
     cross = CrossAmbiguity(gaussian_02, gaussian_02, lattice, fo_quantum=Q)
-    victim = link_at(1)
+    victim = link_at()
     return lattice, cross, victim
 
 
@@ -70,7 +72,7 @@ def test_no_aggressors_means_no_cross_interference(setup):
 
 def test_fully_overlapping_equal_gain_aggressor_couples_at_least_signal_energy(setup):
     lattice, cross, victim = setup
-    aggressor = link_at(2)
+    aggressor = link_at()
     e_signal, _, (e_oi,) = split_of([victim, aggressor], unit_taps(2), cross)
     # Same filter, same FO, same timing: the (0, 0) term alone already equals
     # the signal energy, the non-orthogonal lattice tails add on top of it.
@@ -79,7 +81,7 @@ def test_fully_overlapping_equal_gain_aggressor_couples_at_least_signal_energy(s
 
 def test_full_overlap_gaussian_coupling_matches_theta_series(setup):
     lattice, cross, victim = setup
-    aggressor = link_at(2)
+    aggressor = link_at()
     _, e_self, (e_oi,) = split_of([victim, aggressor], unit_taps(2), cross)
     rho = 0.2
     time_series = sum(math.exp(-math.pi * rho * l * l) for l in range(-11, 12))
@@ -90,10 +92,10 @@ def test_full_overlap_gaussian_coupling_matches_theta_series(setup):
 
 def test_half_spacing_offset_couples_less_than_full_overlap(setup):
     lattice, cross, victim = setup
-    overlapped = link_at(2)
-    shifted = link_at(2, fo_index=4)
-    (full,) = split_of([victim, overlapped], unit_taps(2), cross)[2]
-    (half,) = split_of([victim, shifted], unit_taps(2), cross)[2]
+    aggressor = link_at()
+    (full,) = split_of([victim, aggressor], unit_taps(2), cross)[2]
+    (half,) = split_of([victim, aggressor], unit_taps(2), cross,
+                       offsets=[0, 4])[2]
     assert half < full
 
 
@@ -102,7 +104,7 @@ def test_orthogonal_rrc_design_lattice_has_negligible_self_interference():
     lat = LatticeConfig.for_bandwidth(200e3, 12, 12, density=1.0 + alpha)
     pulse = make_rrc(alpha)
     cross = CrossAmbiguity(pulse, pulse, lat, fo_quantum=Q)
-    e_signal, e_self, _ = split_of([link_at(1)], unit_taps(1), cross)
+    e_signal, e_self, _ = split_of([link_at()], unit_taps(1), cross)
     assert e_self <= 1e-3 * e_signal
 
 
@@ -114,17 +116,18 @@ def test_orthogonal_full_overlap_aggressor_couples_exactly_signal_energy():
     lat = LatticeConfig.for_bandwidth(200e3, 12, 12, density=1.0 + alpha)
     pulse = make_rrc(alpha)
     cross = CrossAmbiguity(pulse, pulse, lat, fo_quantum=Q)
-    e_signal, _, (e_oi,) = split_of([link_at(1), link_at(2)], unit_taps(2), cross)
+    e_signal, _, (e_oi,) = split_of([link_at(), link_at()], unit_taps(2), cross)
     assert e_oi == pytest.approx(e_signal, rel=1e-3)
 
 
 def test_cci_is_additive_over_aggressors(setup):
     lattice, cross, victim = setup
-    aggressors = [link_at(2, timing=0.3 * lattice.tau0, fo_index=2),
-                  link_at(3, timing=0.7 * lattice.tau0, fo_index=5)]
-    both = split_of([victim] + aggressors, unit_taps(3, gain=0.5), cross)[2]
+    aggressors = [link_at(timing=0.3 * lattice.tau0),
+                  link_at(timing=0.7 * lattice.tau0)]
+    both = split_of([victim] + aggressors, unit_taps(3, gain=0.5), cross,
+                    offsets=[0, 2, 5])[2]
     first_only = split_of([victim] + aggressors[:1], unit_taps(2, gain=0.5),
-                          cross)[2]
+                          cross, offsets=[0, 2])[2]
     # One aggressor's entry does not depend on which others are present.
     assert both[:1] == first_only
     assert sum(both) - both[1] == pytest.approx(sum(first_only), rel=1e-12)
@@ -270,14 +273,12 @@ def test_link_metric_equals_the_per_profile_oracle():
 
 
 def build_scenario(num_links, seed):
-    """An EPA drop with random FO indices, and its channels
+    """An EPA drop, random FO indices for its links, and its channels
     (path_gains, tap_gains, tap_delays) into every receiver, each pair drawn
     from its own stream."""
     config = ExperimentConfig(experiment="capacity_vs_aggressors")
     scenario = generate_drop(config, num_links - 1, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed + 1)
-    for q, link in zip(rng.integers(0, Q, size=num_links), scenario.links):
-        scenario.set_fo_index(link, int(q))
+    offsets = np.random.default_rng(seed + 1).integers(0, Q, size=num_links).tolist()
     model = potsim.ChannelModel.epa(800e6)
     path_gains = np.empty((num_links, num_links))
     tap_gains = np.empty((num_links, num_links, len(model.taps)), dtype=complex)
@@ -286,50 +287,50 @@ def build_scenario(num_links, seed):
             distance = math.dist(tx.tp_position, rx.rp_position)
             path_gains[r, t], tap_gains[r, t] = potsim.realize_channel(
                 model, max(distance, 1e-3), np.random.default_rng([seed, t, r]))
-    return scenario, (path_gains, tap_gains, model.tap_delays)
+    return scenario, offsets, (path_gains, tap_gains, model.tap_delays)
 
 
-def network_capacity(scenario, channels, cross, noise):
+def network_capacity(scenario, offsets, channels, cross, noise):
     """Sum over links of the direct-route capacity, each link as the victim."""
     path_gains, tap_gains, tap_delays = channels
     total = 0.0
     for index in range(len(scenario.links)):
         e_signal, e_self, per_aggressor = split_of(
             scenario.links, (path_gains[index], tap_gains[index], tap_delays),
-            cross, victim=index)
+            cross, victim=index, offsets=offsets)
         total += link_metric("capacity", e_signal, e_self, sum(per_aggressor),
                              float(noise[index]), -6.0)
     return total
 
 
 def test_scenario_tables_reproduce_direct_decomposition(lattice, cross_gaussian):
-    scenario, channels = build_scenario(4, seed=77)
+    scenario, offsets, channels = build_scenario(4, seed=77)
     path_gains, tap_gains, tap_delays = channels
     energies = ScenarioEnergies(scenario, *channels, cross_gaussian, snr_db=10.0)
     for index, victim in enumerate(scenario.links):
-        aggressors = [link for link in scenario.links if link is not victim]
         e_signal, e_self, per_aggressor = split_of(
             scenario.links, (path_gains[index], tap_gains[index], tap_delays),
-            cross_gaussian, victim=index)
+            cross_gaussian, victim=index, offsets=offsets)
         assert energies.e_signal[index] == pytest.approx(e_signal, rel=1e-12)
         assert energies.e_self[index] == pytest.approx(e_self, rel=1e-12)
         assert energies.noise[index] == energies.e_signal[index] / 10.0
         sources = [source for source, link in enumerate(scenario.links)
                    if link is not victim]
-        for source, link, direct in zip(sources, aggressors, per_aggressor):
-            qdiff = link.fo_index - victim.fo_index
+        for source, direct in zip(sources, per_aggressor):
+            qdiff = offsets[source] - offsets[index]
             tabled = energies.cci[source, index, qdiff + Q - 1]
             assert tabled == pytest.approx(direct, rel=1e-9)
 
 
 def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian, fo_columns):
-    scenario, (path_gains, tap_gains, tap_delays) = build_scenario(4, seed=78)
+    scenario, offsets, (path_gains, tap_gains, tap_delays) = build_scenario(4, seed=78)
     victim = scenario.links[0]
     aggressors = scenario.links[1:]
     row = (path_gains[0], tap_gains[0], tap_delays)
     e_signal, e_self, profiles = victim_energy_tables(
         scenario.links, 0, *row, cross_gaussian)
-    per_aggressor = split_of(scenario.links, row, cross_gaussian)[2]
+    per_aggressor = split_of(scenario.links, row, cross_gaussian,
+                             offsets=offsets)[2]
     # Own energies from the block itself: the zero-delay term on the
     # reference subcarrier is the signal, every other term self-interference.
     own = np.abs(fo_columns(cross_gaussian, cross_gaussian.convolved_full(
@@ -340,7 +341,7 @@ def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian, fo_col
     assert profiles.shape == (len(aggressors), 2 * Q - 1)
     for source, (row, aggressor, direct) in enumerate(
             zip(profiles, aggressors, per_aggressor), start=1):
-        qdiff = aggressor.fo_index - victim.fo_index
+        qdiff = offsets[source] - offsets[0]
         rel_delay = (aggressor.timing_offset - victim.timing_offset) % lattice.tau0
         pair = cross_gaussian.cci_energy_profiles(
             path_gains[0, source:source + 1], tap_gains[0, source:source + 1],
@@ -350,19 +351,19 @@ def test_victim_tables_slice_to_the_same_profile(lattice, cross_gaussian, fo_col
 
 
 def test_scenario_sum_capacity_matches_profile_route(lattice, cross_gaussian):
-    scenario, channels = build_scenario(4, seed=79)
+    scenario, offsets, channels = build_scenario(4, seed=79)
     # The evaluator holds the first link at FO 0.
-    scenario.set_fo_index(scenario.links[0], 0)
+    offsets[0] = 0
     energies = ScenarioEnergies(scenario, *channels, cross_gaussian, snr_db=10.0)
-    state = tuple(link.fo_index for link in scenario.links[1:])
-    via_profiles = network_capacity(scenario, channels, cross_gaussian,
+    state = tuple(offsets[1:])
+    via_profiles = network_capacity(scenario, offsets, channels, cross_gaussian,
                                     energies.noise)
     evaluator = EnsembleEvaluator([energies])
     assert evaluator.mean_sum_capacity(state) == pytest.approx(via_profiles, rel=1e-12)
 
 
 def test_infinite_snr_zeroes_the_noise_floor(lattice, cross_gaussian):
-    scenario, channels = build_scenario(3, seed=80)
+    scenario, _, channels = build_scenario(3, seed=80)
     energies = ScenarioEnergies(scenario, *channels, cross_gaussian, snr_db=math.inf)
     assert np.all(energies.noise == 0.0)
 
@@ -371,12 +372,10 @@ def test_ensemble_evaluator_averages_per_drop_capacities(lattice, cross_gaussian
     drops = []
     per_drop = []
     for seed in (101, 102, 103):
-        scenario, channels = build_scenario(3, seed=seed)
-        for link, q in zip(scenario.links, (0, 2, 7)):
-            scenario.set_fo_index(link, q)
+        scenario, _, channels = build_scenario(3, seed=seed)
         drop = ScenarioEnergies(scenario, *channels, cross_gaussian, snr_db=10.0)
         drops.append(drop)
-        per_drop.append(network_capacity(scenario, channels, cross_gaussian,
+        per_drop.append(network_capacity(scenario, [0, 2, 7], channels, cross_gaussian,
                                          drop.noise))
     evaluator = EnsembleEvaluator(drops)
     state = (2, 7)

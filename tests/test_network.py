@@ -1,44 +1,32 @@
-"""Scenario generation, the 3 dB counting rule, and the entry protocol."""
+"""Scenario generation and the entry protocol."""
 
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-import potsim
 from potsim import (
     ExperimentConfig,
-    Link,
-    NetworkScenario,
-    ParameterError,
     PolicyUnavailableError,
     QTable,
     entry_sequence,
     generate_drop,
     sample_point_near,
-    update_aggressor_count,
 )
-from potsim.experiments import train_policy
+from potsim import experiments
+from potsim.experiments import FULL_OVERLAP, POT, _sweep, train_policy
 
 #: Default geometry: a 1 km square, 100 m links, the 200 kHz 12x12 lattice.
 CONFIG = ExperimentConfig(experiment="capacity_vs_aggressors")
 
 
-def make_link(rank):
-    return Link(tp_position=(0.0, 0.0), rp_position=(1.0, 0.0),
-                entry_rank=rank)
-
-
 def fresh_scenario(num_links, seed=0):
-    """A drop of num_links links that enter in a seeded random order."""
-    rng = np.random.default_rng(seed)
-    scenario = generate_drop(CONFIG, num_links - 1, rng)
-    for link, rank in zip(scenario.links, rng.permutation(num_links) + 1):
-        link.entry_rank = int(rank)
-    return scenario
+    """A seeded drop of num_links links."""
+    return generate_drop(CONFIG, num_links - 1, np.random.default_rng(seed))
 
 
 def fixed_policy(prescriptions):
@@ -71,13 +59,12 @@ def test_scenario_respects_area_and_range_bounds(lattice):
         for coord in (*link.tp_position, *link.rp_position):
             assert 0.0 <= coord <= 1000.0
         assert 0.0 < link.length <= 100.0
-        assert link.fo_index == 0
         assert 0.0 <= link.timing_offset < lattice.tau0
 
 
 def test_single_link_scenario_has_no_aggressors():
-    scenario = fresh_scenario(1)
-    assert scenario.links[0].aggressor_count == 0
+    (victim,) = fresh_scenario(1).links
+    assert 0.0 < victim.length <= 100.0
 
 
 def test_generation_is_seed_deterministic():
@@ -86,15 +73,7 @@ def test_generation_is_seed_deterministic():
     for la, lb in zip(a.links, b.links):
         assert la.tp_position == lb.tp_position
         assert la.rp_position == lb.rp_position
-        assert la.entry_rank == lb.entry_rank
         assert la.timing_offset == lb.timing_offset
-
-
-def test_duplicate_entry_ranks_are_rejected(lattice):
-    links = [make_link(1), make_link(1)]
-    with pytest.raises((potsim.ConfigError, ParameterError)):
-        NetworkScenario(links=links, area_side=100.0, max_link_range=10.0,
-                        lattice=lattice, fo_quantum=8)
 
 
 @given(st.floats(min_value=0.0, max_value=1000.0),
@@ -189,118 +168,59 @@ def test_the_direct_draw_matches_the_resampled_distribution():
 
 
 # ---------------------------------------------------------------------------
-# counting rule
-
-
-def test_drop_beyond_three_db_increments_the_counter():
-    link = make_link(1)
-    link.aggressor_count = 2
-    assert update_aggressor_count(link, 10.0, 5.5) == 3
-
-
-def test_small_changes_leave_the_counter_alone():
-    link = make_link(1)
-    link.aggressor_count = 2
-    assert update_aggressor_count(link, 10.0, 8.5) == 2
-    assert update_aggressor_count(link, 10.0, 12.9) == 2
-
-
-def test_counter_is_floored_at_zero():
-    link = make_link(1)
-    assert update_aggressor_count(link, 10.0, 14.0) == 0
-
-
-def test_exact_three_db_change_is_not_an_event():
-    link = make_link(1)
-    link.aggressor_count = 1
-    assert update_aggressor_count(link, 10.0, 7.0) == 1
-    assert update_aggressor_count(link, 10.0, 13.0) == 1
-
-
-def test_infinite_drop_counts_once():
-    link = make_link(1)
-    assert update_aggressor_count(link, math.inf, 0.0) == 1
-
-
-# ---------------------------------------------------------------------------
 # entry protocol
 
 
 @pytest.mark.parametrize("num_links", [2, 3, 4, 5])
 def test_noiseless_counting_converges_to_true_aggressor_number(num_links):
-    scenario = fresh_scenario(num_links, seed=num_links)
-    policy = fixed_policy(tuple(range(8)))
-    entry_sequence(scenario, policy)
-    for link in scenario.links:
-        assert link.aggressor_count == num_links - 1
+    # Counting is exact, so the last entrant counts every other link.
+    policy, consulted = recording_policy(tuple(range(8)))
+    assert len(entry_sequence(policy, num_links, 8)) == num_links
+    assert consulted[-1] == num_links - 1
 
 
 def test_consulted_counts_equal_number_of_links_present_at_entry():
-    scenario = fresh_scenario(5, seed=9)
     policy, consulted = recording_policy(tuple(range(8)))
-    entry_sequence(scenario, policy)
+    entry_sequence(policy, 5, 8)
     # The first entrant hears nobody and never consults the policy.
     assert consulted == [1, 2, 3, 4]
 
 
 def test_sole_link_keeps_zero_offset():
-    scenario = fresh_scenario(1)
     policy, consulted = recording_policy((3,))
-    entry_sequence(scenario, policy)
+    assert entry_sequence(policy, 1, 8) == [0]
     assert consulted == []
-    assert scenario.links[0].fo_index == 0
 
 
 def test_two_links_end_with_distinct_quantized_offsets():
-    scenario = fresh_scenario(2, seed=5)
-    policy = fixed_policy({1: (4,)})
-    entry_sequence(scenario, policy)
-    first, second = scenario.by_entry_order()
-    assert first.fo_index == 0
-    assert second.fo_index == 4
+    assert entry_sequence(fixed_policy({1: (4,)}), 2, 8) == [0, 4]
 
 
 def test_second_entrant_ends_with_two_aggressors_and_its_own_offset():
-    scenario = fresh_scenario(3, seed=2)
-    policy = fixed_policy({1: (4,), 2: (2, 6)})
-    entry_sequence(scenario, policy)
-    by_order = scenario.by_entry_order()
-    assert by_order[1].aggressor_count == 2
-    assert by_order[1].fo_index != by_order[0].fo_index
+    # In a three-link drop the second entrant ends up hearing both others;
+    # on entry it counted one and took its own offset.
+    assert entry_sequence(fixed_policy({1: (4,), 2: (2, 6)}), 3, 8) == [0, 4, 2]
 
 
 def test_no_duplicate_offsets_while_unclaimed_offsets_remain():
-    scenario = fresh_scenario(8, seed=13)
     # A policy that keeps prescribing the same index must still spread links
     # over the quantized grid while unused offsets exist.
-    policy = fixed_policy((4,))
-    entry_sequence(scenario, policy)
-    offsets = [link.fo_index for link in scenario.links]
-    assert len(set(offsets)) == len(offsets)
+    assert sorted(entry_sequence(fixed_policy((4,)), 8, 8)) == list(range(8))
 
 
-@pytest.mark.parametrize("sensed", [False, True])
-def test_overflow_rule_takes_the_first_prescribed_offset(sensed):
+def test_overflow_rule_takes_the_first_prescribed_offset():
     # Twelve links on eight offsets, every count prescribing (4, 2). The
     # second and third entrants take prescribed offsets, the next five the
     # lowest unused ones, and once every offset is in use the rest take the
-    # first prescribed offset. In the sensed drop every entrant hears only
-    # the first link, so count 1 repeats and the same rule still holds.
-    scenario = fresh_scenario(12, seed=17)
-    first = scenario.by_entry_order()[0]
-    measure = None
-    if sensed:
-        def measure(observer, heard):
-            return (10.0, 2.0) if heard is first else (10.0, 9.5)
+    # first prescribed offset.
     policy, consulted = recording_policy((4, 2))
-    entry_sequence(scenario, policy, measure=measure)
-    assert consulted == ([1] * 11 if sensed else list(range(1, 12)))
-    assert [link.fo_index for link in scenario.by_entry_order()] == [
+    assert entry_sequence(policy, 12, 8) == [
         0,
         4, 2,              # first prescribed index no active link uses
         1, 3, 5, 6, 7,     # lowest unused quantized index
         4, 4, 4, 4,        # every offset in use: the first prescribed index
     ]
+    assert consulted == list(range(1, 12))
 
 
 def test_the_overflow_rule_reads_only_the_first_prescribed_offset():
@@ -314,14 +234,12 @@ def test_the_overflow_rule_reads_only_the_first_prescribed_offset():
                 yield q
 
     read = []
-    scenario = fresh_scenario(12, seed=17)
     long_prescription = Prescription((4, 2) + (0,) * 48)
-    entry_sequence(scenario, fixed_policy(long_prescription))
+    offsets = entry_sequence(fixed_policy(long_prescription), 12, 8)
     # Entrants 2 and 3 take 4 and 2, the next five read the whole
     # prescription before the lowest unused offset, the last four only 4.
     assert len(read) == 1 + 2 + 5 * 50 + 4 * 1
-    assert [link.fo_index for link in scenario.by_entry_order()] == [
-        0, 4, 2, 1, 3, 5, 6, 7, 4, 4, 4, 4]
+    assert offsets == [0, 4, 2, 1, 3, 5, 6, 7, 4, 4, 4, 4]
 
 
 @pytest.fixture(scope="module")
@@ -334,77 +252,48 @@ def policy_to_fifty(tmp_path_factory):
     return train_policy(config, 50, tmp_path_factory.mktemp("policy") / "policy")
 
 
-@pytest.mark.parametrize("trained", [True, False])
-def test_exact_counting_equals_the_always_detect_hook(trained, policy_to_fifty):
-    # Without a hook the counts are set in O(S); a hook that detects every
-    # transmission replays the pairwise 3 dB rule and must agree link for
-    # link, offsets included.
-    policy = policy_to_fifty if trained else None
-    spread = 0
-    for num_links in (1, 2, 3, 8, 9, 10, 21, 51):
-        for seed in range(3):
-            exact = fresh_scenario(num_links, seed=seed)
-            heard = fresh_scenario(num_links, seed=seed)
-            entry_sequence(exact, policy)
-            entry_sequence(heard, policy, measure=lambda o, e: (math.inf, 0.0))
-            outcome = [(link.aggressor_count, link.fo_index) for link in exact.links]
-            assert outcome == [(link.aggressor_count, link.fo_index)
-                               for link in heard.links]
-            assert all(count == num_links - 1 for count, _ in outcome)
-            spread += any(q != 0 for _, q in outcome)
-    assert spread > 0 if trained else spread == 0
+def test_the_offsets_for_fewer_aggressors_are_a_prefix(policy_to_fifty):
+    # A sweep runs the protocol once, for its largest count, and reads the
+    # offsets of every grid point's S aggressors as a prefix of that run.
+    full = entry_sequence(policy_to_fifty, 51, 8)
+    assert full[0] == 0
+    assert any(full)
+    for num_aggressors in (1, 2, 3, 5, 8, 9, 10, 20, 50):
+        assert (entry_sequence(policy_to_fifty, num_aggressors + 1, 8)
+                == full[:num_aggressors + 1])
 
 
 def test_replaying_the_sequence_is_idempotent():
-    scenario = fresh_scenario(4, seed=21)
     policy = fixed_policy((1, 5, 3))
-    assert entry_sequence(scenario, policy) is None
-    first = [link.fo_index for link in scenario.links]
-    entry_sequence(scenario, policy)
-    assert [link.fo_index for link in scenario.links] == first
-    for link in scenario.links:
-        assert link.aggressor_count == 3
+    first = entry_sequence(policy, 4, 8)
+    assert first == [0, 1, 5, 3]
+    assert entry_sequence(policy, 4, 8) == first
 
 
-def test_full_overlap_baseline_keeps_all_offsets_at_zero():
-    scenario = fresh_scenario(6, seed=8)
-    entry_sequence(scenario, None)
-    assert all(link.fo_index == 0 for link in scenario.links)
-    assert all(link.aggressor_count == 5 for link in scenario.links)
+def test_full_overlap_baseline_keeps_all_offsets_at_zero(policy_to_fifty,
+                                                         monkeypatch):
+    config = ExperimentConfig(experiment="capacity_vs_aggressors",
+                              filters=("gaussian",), aggressor_grid=(1, 5),
+                              num_drops=2, seed=3)
+    both = _sweep(config, policy_to_fifty)
+    full_overlap = [row for row in both if row[2] == FULL_OVERLAP]
+    # The baseline needs no policy and reads the same rows without one ...
+    assert _sweep(replace(config, overlap_mode=FULL_OVERLAP), None) == full_overlap
+    # ... and they are what POT reads once every offset is 0.
+    monkeypatch.setattr(experiments, "entry_sequence",
+                        lambda policy, num_links, fo_quantum: [0] * num_links)
+    zeros = _sweep(config, policy_to_fifty)
+    assert ([row[:2] + row[3:] for row in zeros if row[2] == POT]
+            == [row[:2] + row[3:] for row in full_overlap])
 
 
 def test_missing_count_level_raises_policy_unavailable():
     # A table trained for one aggressor only: the third entrant counts two.
-    scenario = fresh_scenario(3, seed=4)
     policy = QTable(fo_quantum=8, per_count={1: {bytes(1): {}}})
     with pytest.raises(PolicyUnavailableError, match="aggressor count 2"):
-        entry_sequence(scenario, policy)
+        entry_sequence(policy, 3, 8)
 
 
 def test_an_empty_prescription_raises_policy_unavailable():
-    scenario = fresh_scenario(2, seed=4)
     with pytest.raises(PolicyUnavailableError, match="no offsets for count 1"):
-        entry_sequence(scenario, fixed_policy(()))
-
-
-def test_event_isolated_measure_drives_the_counters():
-    # A measurement hook that only reports a drop when the entrant is within
-    # 300 m of the observer's receiver; distant entries go unnoticed.
-    scenario = fresh_scenario(6, seed=30)
-
-    def measure(observer, entrant):
-        d = np.hypot(observer.rp_position[0] - entrant.tp_position[0],
-                     observer.rp_position[1] - entrant.tp_position[1])
-        return (10.0, 2.0) if d <= 300.0 else (10.0, 9.5)
-
-    policy = fixed_policy(tuple(range(8)))
-    entry_sequence(scenario, policy, measure=measure)
-    for link in scenario.links:
-        nearby = sum(
-            1 for other in scenario.links if other is not link
-            and np.hypot(link.rp_position[0] - other.tp_position[0],
-                         link.rp_position[1] - other.tp_position[1]) <= 300.0)
-        assert link.aggressor_count == nearby
-    # Some entries went unnoticed, so the hook, not the link count, decided.
-    assert min(link.aggressor_count for link in scenario.links) < 5
-
+        entry_sequence(fixed_policy(()), 2, 8)

@@ -25,7 +25,6 @@ from potsim import (
     PolicyUnavailableError,
     QTable,
     entry_sequence,
-    generate_drop,
     train,
 )
 from potsim.experiments import ExperimentConfig, scenario_family
@@ -765,13 +764,7 @@ def test_trained_table_drives_the_entry_protocol():
     table.per_count.update(table_of({
         2: {(0, 0): np.zeros(5), (4, 2): [1.0, 0, 0, 0, 0]},
         3: {(1, 2, 3): [1.0] + [0.0] * 6}}).per_count)
-    rng = np.random.default_rng(6)
-    scenario = generate_drop(ExperimentConfig(experiment="capacity_vs_aggressors"),
-                             3, rng)
-    for link, rank in zip(scenario.links, rng.permutation(4) + 1):
-        link.entry_rank = int(rank)
-    entry_sequence(scenario, table)
-    offsets = [link.fo_index for link in scenario.links]
+    offsets = entry_sequence(table, 4, Q)
     assert all(0 <= q < Q for q in offsets)
     assert len(set(offsets)) == len(offsets)
 
